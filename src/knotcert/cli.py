@@ -2,7 +2,7 @@
 
 Subcommands: validate, alexander, roots, signature, certify, report.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 input or
-validation errors, 2 failed internal consistency check.
+validation errors, 2 failed internal consistency check or a bad option.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCONSISTENT = 2
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotcert",
@@ -56,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="corpus format; inferred from the file suffix when omitted",
     )
     common.add_argument(
-        "--refine-bits", type=int, default=32, metavar="N",
+        "--refine-bits", type=_nonnegative_int, default=32, metavar="N",
         help="refine isolating intervals to width 2^-N (default 32)",
     )
 

@@ -535,7 +535,7 @@ def _eigenvalue_nearest_zero(h: CMatrix) -> float:
     ip = _primitive([int(c * den) for c in coeffs])
     radical = _pdivexact(ip, _pgcd(ip, _pderiv(ip)))
     chain = sturm_chain(radical)
-    bound = Fraction(1) + max(abs(c) for c in radical) / abs(radical[-1])
+    bound = 1 + Fraction(max(abs(c) for c in radical), abs(radical[-1]))
     width = Fraction(1, 2**48)
     resolved = []
     for a, b in _isolate_squarefree(chain, -bound, bound):

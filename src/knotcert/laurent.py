@@ -13,9 +13,12 @@ Conventions used throughout:
   T_(k+1) = z*T_k - T_(k-1)).  Roots of Delta on the unit circle t = e^(i phi)
   correspond to real roots z = 2 cos(phi) of P in (-2, 2), with equal
   multiplicity.
-* Root isolation is exact: Sturm sequences over the rationals with dyadic
-  bisection.  Isolating intervals are half-open (lo, hi], so a dyadic root
-  hit by bisection sits at the right endpoint.
+* Root isolation is exact and integer-only.  Every sign is read off by
+  integer Horner on the numerator of a rational point k/d (``_sign_at``).
+  Sturm sequences count the roots in a dyadic bisection; an interval that
+  holds one root of a square-free factor is then refined by the sign of
+  that factor alone.  Isolating intervals are half-open (lo, hi], so a
+  dyadic root hit by bisection sits at the right endpoint.
 """
 
 from __future__ import annotations
@@ -114,6 +117,23 @@ def _peval(a: Sequence[int], x: Fraction) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def _sign_at(a: Sequence[int], x: int | Fraction) -> int:
+    """Sign of a(x) at a rational point, in integers only.
+
+    With x = k/d and n = deg a, d^n * a(x) = sum of c_i k^i d^(n-i), which
+    Horner builds as acc*k + c*d^(n-i); d > 0, so it has the sign of a(x).
+    """
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact sign needs an int or Fraction point, not {type(x).__name__}")
+    k, d = x.numerator, x.denominator
+    acc = 0
+    d_pow = 1
+    for c in reversed(a):
+        acc = acc * k + c * d_pow
+        d_pow *= d
+    return (acc > 0) - (acc < 0)
 
 
 def _content(a: IntPoly) -> int:
@@ -487,39 +507,53 @@ def sturm_chain(f: IntPoly) -> list[IntPoly]:
     return chain
 
 
-def _variations(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def _variations(chain: Sequence[IntPoly], x: int | Fraction) -> int:
+    """Sign variations of a Sturm chain at x, zeros skipped."""
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of chain[0] in the half-open interval (lo, hi]."""
-    v_lo = _variations(_peval(p, lo) for p in chain)
-    v_hi = _variations(_peval(p, hi) for p in chain)
-    return v_lo - v_hi
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def _isolate_squarefree(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction):
-    """Bisect (lo, hi] into half-open dyadic intervals with one root each."""
-    stack = [(lo, hi, sturm_count(chain, lo, hi))]
+    """Bisect (lo, hi] into half-open dyadic intervals with one root each.
+
+    Each stack entry carries the variation counts at its endpoints, so every
+    bisection point is evaluated once although two children share it.
+    """
+    stack = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
     out = []
     while stack:
-        a, b, cnt = stack.pop()
+        a, v_a, b, v_b = stack.pop()
+        cnt = v_a - v_b
         if cnt == 0:
             continue
         if cnt == 1:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        left = sturm_count(chain, a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, cnt - left))
+        v_mid = _variations(chain, mid)
+        stack.append((a, v_a, mid, v_mid))
+        stack.append((mid, v_mid, b, v_b))
     return out
 
 
 def _refine_once(chain, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve (a, b], which holds exactly one root of the square-free chain[0].
+
+    A simple root changes the sign of chain[0], so the signs at mid and b
+    pick the half: a root at mid stays in (a, mid], and f(b) = 0 or a sign
+    change over (mid, b] means the root is there.
+    """
+    f = chain[0]
     mid = (a + b) / 2
-    if sturm_count(chain, mid, b) == 1:
+    s_mid = _sign_at(f, mid)
+    if s_mid == 0:
+        return a, mid
+    if _sign_at(f, b) != s_mid:
         return mid, b
     return a, mid
 

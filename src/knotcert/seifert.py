@@ -60,6 +60,8 @@ class KnotMetadata:
 def _as_matrix(entries: Sequence[Sequence[int]]) -> Matrix:
     rows = []
     for row in entries:
+        if any(isinstance(x, bool) for x in row):
+            raise TypeError("matrix entries must be integers, not booleans")
         # operator.index rejects floats and strings instead of truncating
         rows.append(tuple(operator.index(x) for x in row))
     return tuple(rows)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -359,6 +361,54 @@ def test_cli_signature_slope_diagnostics(corpus_file, capsys):
     assert "slope ~ -" in capsys.readouterr().out  # trefoil crossing is downward
 
 
+def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, capsys):
+    # _sign_at raises TypeError on a float point; the spy also shows it ran
+    import knotcert.laurent as laurent_mod
+
+    seen = set()
+    sign_at = laurent_mod._sign_at
+
+    def spy(f, x):
+        seen.add(type(x))
+        return sign_at(f, x)
+
+    monkeypatch.setattr(laurent_mod, "_sign_at", spy)
+    p = tmp_path / "c.json"
+    p.write_text(
+        json.dumps(
+            [
+                TREFOIL_OBJ,
+                {"name": "5_2", "seifert": [[-1, 1], [0, -2]]},
+                {"name": "T(2,5)", "seifert": [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]},
+                # a twisted trefoil: with a float Cauchy bound, bisection
+                # stalled at float resolution and never met the 2^-48 width
+                {"name": "twisted", "seifert": [[-49, 19], [18, -7]]},
+            ]
+        )
+    )
+    assert main(["signature", "--input", str(p), "--slope-diagnostics"]) == 0
+    assert capsys.readouterr().out.count("slope ~ ") == 5
+    assert seen and seen <= {int, Fraction}
+
+
+def test_cli_rejects_negative_refine_bits(corpus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--input", str(corpus_file), "--refine-bits", "-1"])
+    assert exc.value.code == 2
+    assert "--refine-bits: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+def test_cli_rejects_boolean_matrix_entries(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([{"name": "bools", "seifert": [[True, True], [False, True]]}, TREFOIL_OBJ]))
+    (bad, good) = parse_corpus(p)
+    assert isinstance(bad, CorpusError) and "boolean" in bad.message
+    assert isinstance(good, CorpusEntry)
+    assert main(["certify", "--input", str(p)]) == 1
+    certs = certificates_from_json(capsys.readouterr().out)
+    assert [c.verdict for c in certs] == [INVALID_INPUT, CERTIFIED]
+
+
 def test_cli_internal_inconsistency_exit_code(corpus_file, monkeypatch):
     import knotcert.cli as cli_mod
     from knotcert.errors import InternalInconsistencyError
@@ -371,10 +421,16 @@ def test_cli_internal_inconsistency_exit_code(corpus_file, monkeypatch):
 
 
 def test_cli_module_entry_point(corpus_file):
+    # the child finds the package where this process did, installed or not
+    import knotcert
+
+    src = str(Path(knotcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "knotcert", "report", "--input", str(corpus_file)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "CERTIFIED" in proc.stdout

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -12,8 +14,10 @@ from knotcert.errors import (
     RootAtPlusMinusOneError,
     ZeroPolynomialError,
 )
+from knotcert.cli import main
 from knotcert.fixtures import (
     FIGURE_EIGHT,
+    KNOT_5_2,
     TORUS_2_5,
     TREFOIL,
     UNKNOT,
@@ -22,6 +26,10 @@ from knotcert.fixtures import (
 from knotcert.laurent import (
     SymmetricLaurentPoly,
     ZPoly,
+    _isolate_squarefree,
+    _peval,
+    _refine_once,
+    _sign_at,
     alexander_poly,
     has_simple_unit_root,
     isolate_unit_roots,
@@ -261,3 +269,82 @@ def test_sturm_isolation_matches_floating_roots():
             ]
             assert len(containing) == 1
         checked += 1
+
+
+# --- integer signs and sign-change refinement ---------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+# rational points: negative, zero, integer, dyadic and non-dyadic
+points = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(
+        Fraction,
+        st.integers(-(2**70), 2**70),
+        st.one_of(st.integers(0, 80).map(lambda m: 2**m), st.integers(1, 10**9)),
+    ),
+)
+
+
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=14), points)
+@settings(max_examples=300, deadline=None)
+def test_sign_at_matches_exact_evaluation(coeffs, x):
+    value = _peval(coeffs, Fraction(x))
+    assert _sign_at(coeffs, x) == (value > 0) - (value < 0)
+
+
+def test_sign_at_rejects_inexact_points():
+    with pytest.raises(TypeError):
+        _sign_at([1, 1], 0.5)
+    with pytest.raises(TypeError):
+        _sign_at([1, 1], "1/2")
+
+
+def test_refine_once_halfopen_convention():
+    chain = sturm_chain([-1, 1])  # z - 1
+    # root at the midpoint stays in the left half (a, mid]
+    assert _refine_once(chain, Fraction(0), Fraction(2)) == (0, 1)
+    # root at b: (mid, b]
+    assert _refine_once(chain, Fraction(0), Fraction(1)) == (Fraction(1, 2), 1)
+    # sign change inside (mid, b]
+    assert _refine_once(chain, Fraction(0), Fraction(3, 2)) == (Fraction(3, 4), Fraction(3, 2))
+    # no sign change over (mid, b]: the root is in (a, mid]
+    assert _refine_once(chain, Fraction(1, 2), Fraction(4)) == (Fraction(1, 2), Fraction(9, 4))
+
+
+def test_refine_once_picks_the_half_sturm_picks():
+    rng = random.Random(20261017)
+    checked = 0
+    while checked < 60:
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))]
+        p = ZPoly(coeffs)
+        if p.degree < 1:
+            continue
+        for f, _ in squarefree_decompose(p):
+            chain = sturm_chain(list(f.coeffs))
+            for a, b in _isolate_squarefree(chain, Fraction(-4), Fraction(4)):
+                for _ in range(12):
+                    mid = (a + b) / 2
+                    sturm_half = (mid, b) if sturm_count(chain, mid, b) == 1 else (a, mid)
+                    a, b = _refine_once(chain, a, b)
+                    assert (a, b) == sturm_half
+                    assert sturm_count(chain, a, b) == 1
+        checked += 1
+
+
+@pytest.mark.parametrize("bits", [0, 1, 8, 32, 320])
+def test_dyadic_root_of_5_2_at_right_endpoint(bits):
+    # P(z) = 2z - 3 for 5_2: the root z = 3/2 is dyadic, so bisection lands on
+    # it and the half-open convention keeps it at hi
+    (w,) = isolate_unit_roots(to_z_poly(alexander_poly(KNOT_5_2)), refine_bits=bits)
+    lo, hi = w.interval
+    assert hi == Fraction(3, 2)
+    assert lo < hi and hi - lo <= Fraction(1, 2**bits)
+
+
+def test_roots_refine_320_matches_golden(capsys):
+    # T(2,17) and T(2,7)#T(2,7); the golden file was made by refining with
+    # a Sturm count over (mid, b], and refining by the sign of the square-free
+    # factor must pick the same half at every one of the 320 steps
+    assert main(["roots", "--input", str(DATA / "roots_golden.json"), "--refine-bits", "320"]) == 0
+    assert capsys.readouterr().out == (DATA / "roots_golden_320.txt").read_text()

@@ -24,6 +24,14 @@ def test_validate_unknot():
     assert genus(v) == 0
 
 
+def test_validate_rejects_booleans():
+    # operator.index(True) == 1, so booleans would otherwise pass as entries
+    with pytest.raises(TypeError, match="boolean"):
+        validate([[True, True], [False, True]])
+    with pytest.raises(TypeError, match="boolean"):
+        validate([[-1, True], [0, -1]])
+
+
 def test_validate_trefoil():
     v = validate([[-1, 1], [0, -1]])
     assert genus(v) == 1
