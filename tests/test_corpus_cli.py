@@ -31,6 +31,7 @@ from knotcert.inertia import signature_profile
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
 
 TREFOIL_OBJ = {"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}
+DATA = Path(__file__).parent / "data"
 
 
 def profile_of(v):
@@ -387,7 +388,9 @@ def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, caps
         )
     )
     assert main(["signature", "--input", str(p), "--slope-diagnostics"]) == 0
-    assert capsys.readouterr().out.count("slope ~ ") == 5
+    out = capsys.readouterr().out
+    assert out.count("slope ~ ") == 5
+    assert out == (DATA / "slope_diagnostics_golden.txt").read_text(encoding="utf-8")
     assert seen and seen <= {int, Fraction}
 
 
