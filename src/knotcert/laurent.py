@@ -119,21 +119,30 @@ def _peval(a: Sequence[int], x: Fraction) -> Fraction:
     return acc
 
 
-def _sign_at(a: Sequence[int], x: int | Fraction) -> int:
-    """Sign of a(x) at a rational point, in integers only.
+def _sign_int(a: Sequence[int], k: int, d: int) -> int:
+    """Sign of a(k/d) for integers k and d > 0, in integers only.
 
-    With x = k/d and n = deg a, d^n * a(x) = sum of c_i k^i d^(n-i), which
-    Horner builds as acc*k + c*d^(n-i); d > 0, so it has the sign of a(x).
+    With n = deg a, d^n * a(k/d) = sum of c_i k^i d^(n-i), which Horner
+    builds as acc*k + c*d^(n-i); d > 0, so it has the sign of a(k/d).
     """
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"exact sign needs an int or Fraction point, not {type(x).__name__}")
-    k, d = x.numerator, x.denominator
     acc = 0
     d_pow = 1
     for c in reversed(a):
         acc = acc * k + c * d_pow
         d_pow *= d
     return (acc > 0) - (acc < 0)
+
+
+def _num_den(x: int | Fraction) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact point; rejects anything else."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact sign needs an int or Fraction point, not {type(x).__name__}")
+    return x.numerator, x.denominator
+
+
+def _sign_at(a: Sequence[int], x: int | Fraction) -> int:
+    """Sign of a(x) at an int or Fraction point (see ``_sign_int``)."""
+    return _sign_int(a, *_num_den(x))
 
 
 def _content(a: IntPoly) -> int:
@@ -556,6 +565,22 @@ def _refine_once(chain, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     if _sign_at(f, b) != s_mid:
         return mid, b
     return a, mid
+
+
+def _halve(f: IntPoly, ka: int, kb: int, d: int, s_b: int) -> tuple[int, int, int, int]:
+    """Halve (ka/d, kb/d], which holds exactly one root of the square-free f.
+
+    s_b is the sign of f at kb/d.  The halves are (2ka/2d, (ka+kb)/2d] and
+    ((ka+kb)/2d, 2kb/2d], so only the midpoint is evaluated: a root at mid
+    stays in the left half, and f(b) = 0 or a sign change over (mid, b]
+    means the root is in the right half.  Returns the kept half over 2d with
+    the sign of f at its right end.
+    """
+    km = ka + kb
+    s_mid = _sign_int(f, km, 2 * d)
+    if s_mid and s_mid != s_b:
+        return km, 2 * kb, 2 * d, s_b
+    return 2 * ka, km, 2 * d, s_mid
 
 
 def _angle_bounds(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -26,9 +26,9 @@ from knotcert.fixtures import (
 from knotcert.laurent import (
     SymmetricLaurentPoly,
     ZPoly,
+    _halve,
     _isolate_squarefree,
     _peval,
-    _refine_once,
     _sign_at,
     alexander_poly,
     has_simple_unit_root,
@@ -300,19 +300,34 @@ def test_sign_at_rejects_inexact_points():
         _sign_at([1, 1], "1/2")
 
 
-def test_refine_once_halfopen_convention():
-    chain = sturm_chain([-1, 1])  # z - 1
-    # root at the midpoint stays in the left half (a, mid]
-    assert _refine_once(chain, Fraction(0), Fraction(2)) == (0, 1)
+def _halves(f, ka, kb, d, steps):
+    """Halve (ka/d, kb/d] ``steps`` times, checking each step against a Sturm count."""
+    chain = sturm_chain(f)
+    s_b = _sign_at(f, Fraction(kb, d))
+    for _ in range(steps):
+        a, b = Fraction(ka, d), Fraction(kb, d)
+        mid = (a + b) / 2
+        sturm_half = (mid, b) if sturm_count(chain, mid, b) == 1 else (a, mid)
+        ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
+        assert (Fraction(ka, d), Fraction(kb, d)) == sturm_half
+        assert s_b == _sign_at(f, sturm_half[1])
+        assert sturm_count(chain, *sturm_half) == 1
+    return Fraction(ka, d), Fraction(kb, d)
+
+
+def test_halve_halfopen_convention():
+    f = [-1, 1]  # z - 1
+    # root at the midpoint stays in the left half (a, mid], and f(hi) = 0
+    assert _halve(f, 0, 2, 1, 1) == (0, 2, 2, 0)
     # root at b: (mid, b]
-    assert _refine_once(chain, Fraction(0), Fraction(1)) == (Fraction(1, 2), 1)
+    assert _halve(f, 0, 1, 1, 0) == (1, 2, 2, 0)
     # sign change inside (mid, b]
-    assert _refine_once(chain, Fraction(0), Fraction(3, 2)) == (Fraction(3, 4), Fraction(3, 2))
+    assert _halve(f, 0, 3, 2, 1) == (3, 6, 4, 1)
     # no sign change over (mid, b]: the root is in (a, mid]
-    assert _refine_once(chain, Fraction(1, 2), Fraction(4)) == (Fraction(1, 2), Fraction(9, 4))
+    assert _halve(f, 1, 8, 2, 1) == (2, 9, 4, 1)
 
 
-def test_refine_once_picks_the_half_sturm_picks():
+def test_halve_picks_the_half_sturm_picks():
     rng = random.Random(20261017)
     checked = 0
     while checked < 60:
@@ -323,13 +338,51 @@ def test_refine_once_picks_the_half_sturm_picks():
         for f, _ in squarefree_decompose(p):
             chain = sturm_chain(list(f.coeffs))
             for a, b in _isolate_squarefree(chain, Fraction(-4), Fraction(4)):
-                for _ in range(12):
-                    mid = (a + b) / 2
-                    sturm_half = (mid, b) if sturm_count(chain, mid, b) == 1 else (a, mid)
-                    a, b = _refine_once(chain, a, b)
-                    assert (a, b) == sturm_half
-                    assert sturm_count(chain, a, b) == 1
+                d = a.denominator * b.denominator
+                _halves(list(f.coeffs), int(a * d), int(b * d), d, 12)
         checked += 1
+
+
+def test_halve_from_a_non_dyadic_start():
+    # (-7/3, 7/3] over d = 3: midpoints k/(3*2^m) are never dyadic
+    checked = 0
+    for f in ([-1, 1], [1, -3], [-2, 0, 1], [1, 1, -5, 0, 3]):
+        for ka, kb in ((-7, 7), (-7, 0), (0, 7)):
+            chain = sturm_chain(f)
+            if sturm_count(chain, Fraction(ka, 3), Fraction(kb, 3)) == 1:
+                lo, hi = _halves(f, ka, kb, 3, 40)
+                assert hi - lo == Fraction(kb - ka, 3 * 2**40)
+                checked += 1
+    assert checked >= 6
+
+
+def test_halve_keeps_a_root_at_hi_once_a_midpoint_hits_it():
+    # 8z - 3: from (-2, 2] the midpoints are 0, 1, 1/2, 1/4, then the root 3/8
+    f = [-3, 8]
+    assert _halves(f, -2, 2, 1, 4) == (Fraction(1, 4), Fraction(1, 2))
+    assert _halves(f, -2, 2, 1, 5) == (Fraction(1, 4), Fraction(3, 8))
+    for steps in (6, 9, 30):
+        lo, hi = _halves(f, -2, 2, 1, steps)
+        assert hi == Fraction(3, 8) and hi - lo == Fraction(4, 2**steps)
+
+
+def test_isolate_with_zero_refine_bits():
+    # P = z - 1 for the trefoil: (-2, 2] -> (0, 2] -> (0, 1], width 1 = 2^-0
+    (w,) = isolate_unit_roots(to_z_poly(alexander_poly(TREFOIL)), refine_bits=0)
+    assert w.interval == (0, 1)
+
+
+def test_isolate_keeps_intervals_already_narrower_than_the_width():
+    # roots 1 and 1025/1024 are separated only at width 2^-11, so every
+    # refine_bits up to 11 leaves the bisection's intervals as they are
+    p = ZPoly([1025, -2049, 1024])  # (z - 1)(1024z - 1025)
+    expected = [(Fraction(2047, 2048), 1), (Fraction(2049, 2048), Fraction(1025, 1024))]
+    for bits in (0, 1, 5, 11):
+        assert [w.interval for w in isolate_unit_roots(p, refine_bits=bits)] == expected
+    assert [w.interval for w in isolate_unit_roots(p, refine_bits=12)] == [
+        (Fraction(4095, 4096), 1),
+        (Fraction(4099, 4096), Fraction(1025, 1024)),
+    ]
 
 
 @pytest.mark.parametrize("bits", [0, 1, 8, 32, 320])
