@@ -2,7 +2,9 @@
 
 Subcommands: validate, alexander, roots, signature, certify, report.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 input or
-validation errors, 2 failed internal consistency check or a bad option.
+validation errors (a missing, unreadable or non-UTF-8 --input, or an --out
+or --plot path that cannot be written, included), 2 failed internal
+consistency check or a bad option.
 """
 
 from __future__ import annotations
@@ -123,11 +125,17 @@ def _angles_str(witness, halved: bool) -> str:
     return f"[{float(lo):.6f}, {float(hi):.6f}]"
 
 
+def _print_row_error(row: CorpusError) -> None:
+    # a validation message from the corpus parser already carries the prefix
+    prefix = f"row {row.row} ({row.name or '?'}): "
+    print(f"ERROR {prefix}{row.message.removeprefix(prefix)}")
+
+
 def _cmd_validate(rows) -> int:
     status = EXIT_OK
     for row in rows:
         if isinstance(row, CorpusError):
-            print(f"ERROR row {row.row} ({row.name or '?'}): {row.message}")
+            _print_row_error(row)
             status = EXIT_INPUT_ERROR
         else:
             print(f"OK {row.name}: genus {len(row.seifert) // 2}")
@@ -138,7 +146,7 @@ def _cmd_alexander(rows) -> int:
     status = EXIT_OK
     for row in rows:
         if isinstance(row, CorpusError):
-            print(f"ERROR row {row.row} ({row.name or '?'}): {row.message}")
+            _print_row_error(row)
             status = EXIT_INPUT_ERROR
             continue
         delta = alexander_poly(validate(row.seifert, name=row.name))
@@ -150,7 +158,7 @@ def _cmd_roots(rows, refine_bits: int) -> int:
     status = EXIT_OK
     for row in rows:
         if isinstance(row, CorpusError):
-            print(f"ERROR row {row.row} ({row.name or '?'}): {row.message}")
+            _print_row_error(row)
             status = EXIT_INPUT_ERROR
             continue
         v = validate(row.seifert, name=row.name)
@@ -180,7 +188,7 @@ def _cmd_signature(
     profiles = []
     for row in rows:
         if isinstance(row, CorpusError):
-            print(f"ERROR row {row.row} ({row.name or '?'}): {row.message}")
+            _print_row_error(row)
             status = EXIT_INPUT_ERROR
             continue
         v = validate(row.seifert, name=row.name)
@@ -244,6 +252,11 @@ def _cmd_report(
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
+    if out is not None and not Path(out).parent.is_dir():
+        # fail before the work, not when the result is written
+        print(f"error: no such directory for --out: {Path(out).parent}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         rows = _load(args)
     except FileNotFoundError:
@@ -251,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except (UnknownFormatError, CorpusParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         if args.command == "validate":
@@ -271,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     raise AssertionError(f"unhandled command {args.command}")
 
 

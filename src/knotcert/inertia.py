@@ -40,12 +40,13 @@ from typing import Sequence
 from .errors import InternalInconsistencyError, SampleOnRootError
 from .laurent import (
     UnitRootWitness,
+    _halve,
     _isolate_squarefree,
     _pderiv,
     _pdivexact,
     _pgcd,
     _primitive,
-    _refine_once,
+    _sign_int,
     alexander_poly,
     sturm_chain,
     to_z_poly,
@@ -536,16 +537,18 @@ def _eigenvalue_nearest_zero(h: CMatrix) -> float:
     radical = _pdivexact(ip, _pgcd(ip, _pderiv(ip)))
     chain = sturm_chain(radical)
     bound = 1 + Fraction(max(abs(c) for c in radical), abs(radical[-1]))
-    width = Fraction(1, 2**48)
+    f = chain[0]
     resolved = []
-    for a, b in _isolate_squarefree(chain, -bound, bound):
-        # narrow before comparing distances, else a wide interval whose
-        # endpoint grazes zero shadows the true nearest eigenvalue
-        while a < 0 < b or b - a > width:
-            a, b = _refine_once(chain, a, b)
-        resolved.append((a, b))
-    a, b = min(resolved, key=lambda ab: min(abs(ab[0]), abs(ab[1])))
-    return float((a + b) / 2)
+    for ka, kb, d in _isolate_squarefree(chain, -bound.numerator, bound.numerator, bound.denominator):
+        s_b = _sign_int(f, kb, d)
+        # narrow to width 2^-48 before comparing distances, else a wide
+        # interval whose endpoint grazes zero shadows the nearest eigenvalue
+        wide = (kb - ka) << 48
+        while ka < 0 < kb or wide > d:
+            ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
+        resolved.append((ka, kb, d))
+    ka, kb, d = min(resolved, key=lambda iv: Fraction(min(abs(iv[0]), abs(iv[1])), iv[2]))
+    return (ka + kb) / (2 * d)
 
 
 def transversality_diagnostic(

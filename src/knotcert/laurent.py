@@ -13,11 +13,15 @@ Conventions used throughout:
   T_(k+1) = z*T_k - T_(k-1)).  Roots of Delta on the unit circle t = e^(i phi)
   correspond to real roots z = 2 cos(phi) of P in (-2, 2), with equal
   multiplicity.
-* Root isolation is exact and integer-only.  Every sign is read off by
-  integer Horner on the numerator of a rational point k/d (``_sign_at``).
-  Sturm sequences count the roots in a dyadic bisection; an interval that
-  holds one root of a square-free factor is then refined by the sign of
-  that factor alone.  Isolating intervals are half-open (lo, hi], so a
+* Root isolation is exact and integer-only.  An interval is carried as two
+  integer numerators over one positive denominator, (ka/d, kb/d]; halving
+  it doubles ka, kb and d and looks only at the midpoint (ka+kb)/(2d).
+  Every sign is read off by integer Horner at a point k/d (``_sign_int``).
+  Sturm sequences count the roots in a bisection; an interval that holds
+  one root of a square-free factor is then refined by the sign of that
+  factor alone, carrying its sign at the right end (``_halve``).  A
+  ``Fraction`` is built only for a finished ``UnitRootWitness`` and for the
+  public ``sturm_count``.  Isolating intervals are half-open (lo, hi], so a
   dyadic root hit by bisection sits at the right endpoint.
 """
 
@@ -516,55 +520,38 @@ def sturm_chain(f: IntPoly) -> list[IntPoly]:
     return chain
 
 
-def _variations(chain: Sequence[IntPoly], x: int | Fraction) -> int:
-    """Sign variations of a Sturm chain at x, zeros skipped."""
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+def _variations(chain: Sequence[IntPoly], k: int, d: int) -> int:
+    """Sign variations of a Sturm chain at k/d, zeros skipped."""
+    signs = [s for s in (_sign_int(p, k, d) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of chain[0] in the half-open interval (lo, hi]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, *_num_den(lo)) - _variations(chain, *_num_den(hi))
 
 
-def _isolate_squarefree(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction):
-    """Bisect (lo, hi] into half-open dyadic intervals with one root each.
+def _isolate_squarefree(chain: Sequence[IntPoly], ka: int, kb: int, d: int):
+    """Bisect (ka/d, kb/d] into half-open intervals (ka'/d', kb'/d'] with one root each.
 
     Each stack entry carries the variation counts at its endpoints, so every
     bisection point is evaluated once although two children share it.
     """
-    stack = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    stack = [(ka, _variations(chain, ka, d), kb, _variations(chain, kb, d), d)]
     out = []
     while stack:
-        a, v_a, b, v_b = stack.pop()
+        a, v_a, b, v_b, d = stack.pop()
         cnt = v_a - v_b
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append((a, b))
+            out.append((a, b, d))
             continue
-        mid = (a + b) / 2
-        v_mid = _variations(chain, mid)
-        stack.append((a, v_a, mid, v_mid))
-        stack.append((mid, v_mid, b, v_b))
+        m = a + b
+        v_m = _variations(chain, m, 2 * d)
+        stack.append((2 * a, v_a, m, v_m, 2 * d))
+        stack.append((m, v_m, 2 * b, v_b, 2 * d))
     return out
-
-
-def _refine_once(chain, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve (a, b], which holds exactly one root of the square-free chain[0].
-
-    A simple root changes the sign of chain[0], so the signs at mid and b
-    pick the half: a root at mid stays in (a, mid], and f(b) = 0 or a sign
-    change over (mid, b] means the root is there.
-    """
-    f = chain[0]
-    mid = (a + b) / 2
-    s_mid = _sign_at(f, mid)
-    if s_mid == 0:
-        return a, mid
-    if _sign_at(f, b) != s_mid:
-        return mid, b
-    return a, mid
 
 
 def _halve(f: IntPoly, ka: int, kb: int, d: int, s_b: int) -> tuple[int, int, int, int]:
@@ -612,7 +599,7 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    if p.evaluate(2) == 0 or p.evaluate(-2) == 0:
+    if _sign_at(p.coeffs, 2) == 0 or _sign_at(p.coeffs, -2) == 0:
         raise RootAtPlusMinusOneError(
             "P vanishes at z = +-2 (t = +-1); not a knot Alexander polynomial"
         )
@@ -624,36 +611,41 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
         radical = _pmul(radical, list(f.coeffs))
     radical_chain = sturm_chain(_primitive(radical))
 
-    lo2, hi2 = Fraction(-2), Fraction(2)
-    pending: list[list] = []  # [lo, hi, multiplicity, chain]
-    for f, mult in factors:
-        chain = sturm_chain(list(f.coeffs))
-        for a, b in _isolate_squarefree(chain, lo2, hi2):
+    # [ka, kb, d, sign of f at kb/d, multiplicity, f] for (ka/d, kb/d]
+    pending: list[list] = []
+    for factor, mult in factors:
+        f = list(factor.coeffs)
+        chain = sturm_chain(f)
+        for ka, kb, d in _isolate_squarefree(chain, -2, 2, 1):
+            s_b = _sign_int(f, kb, d)
             # shrink until no other factor's root shares the interval
-            while sturm_count(radical_chain, a, b) > 1:
-                a, b = _refine_once(chain, a, b)
-            pending.append([a, b, mult, chain])
+            while sturm_count(radical_chain, Fraction(ka, d), Fraction(kb, d)) > 1:
+                ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
+            pending.append([ka, kb, d, s_b, mult, f])
 
     # pairwise disjoint with positive gaps (sorted by root order once disjoint)
     while True:
-        pending.sort(key=lambda w: (w[0], w[1]))
+        common = math.lcm(*(w[2] for w in pending))
+        pending.sort(key=lambda w: (w[0] * (common // w[2]), w[1] * (common // w[2])))
         clean = True
         for w1, w2 in zip(pending, pending[1:]):
-            if w1[1] >= w2[0]:
-                w1[0], w1[1] = _refine_once(w1[3], w1[0], w1[1])
-                w2[0], w2[1] = _refine_once(w2[3], w2[0], w2[1])
+            if w1[1] * w2[2] >= w2[0] * w1[2]:
+                w1[:4] = _halve(w1[5], *w1[:4])
+                w2[:4] = _halve(w2[5], *w2[:4])
                 clean = False
         if clean:
             break
 
-    width = Fraction(1, 2**refine_bits)
     out = []
-    for a, b, mult, chain in pending:
-        while b - a > width or a <= -2 or b >= 2:
-            a, b = _refine_once(chain, a, b)
+    for ka, kb, d, s_b, mult, f in pending:
+        # the width (kb - ka)/d halves with each step because kb - ka is kept
+        wide = (kb - ka) << refine_bits
+        while wide > d or ka <= -2 * d or kb >= 2 * d:
+            ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
+        lo, hi = Fraction(ka, d), Fraction(kb, d)
         out.append(
             UnitRootWitness(
-                interval=(a, b), multiplicity=mult, angle_bounds=_angle_bounds(a, b)
+                interval=(lo, hi), multiplicity=mult, angle_bounds=_angle_bounds(lo, hi)
             )
         )
     out.sort(key=lambda w: w.interval)

@@ -356,6 +356,63 @@ def test_cli_missing_file_and_unknown_format(tmp_path, capsys):
     assert main(["report", "--input", str(p)]) == 1
 
 
+FLOAT_ROW = {"name": "float", "seifert": [[1.5, 1], [0, -1]]}
+FLOAT_MESSAGE = "row 0 (float): 'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("command", ["validate", "alexander", "roots", "signature"])
+def test_cli_row_error_prefix_printed_once(command, tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([FLOAT_ROW, TREFOIL_OBJ]))
+    assert main([command, "--input", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"ERROR {FLOAT_MESSAGE}"
+
+
+def test_cli_row_error_in_report_json_keeps_its_prefix(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([FLOAT_ROW]))
+    out = tmp_path / "r.json"
+    assert main(["report", "--input", str(p), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())[0]["error"] == FLOAT_MESSAGE
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def test_cli_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_bytes(b"\xff\xfe[]")
+    assert main(["validate", "--input", str(p)]) == 1
+    assert "cannot read" in _one_error_line(capsys)
+
+
+def test_cli_directory_input_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.mkdir()
+    assert main(["certify", "--input", str(p)]) == 1
+    assert "cannot read" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["report", "certify"])
+def test_cli_out_into_missing_directory_fails_before_the_work(command, corpus_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main([command, "--input", str(corpus_file), "--out", str(out)]) == 1
+    assert "no such directory" in _one_error_line(capsys)
+    assert not out.parent.exists()
+
+
+def test_cli_unwritable_plot_dir_is_an_input_error(corpus_file, tmp_path, capsys):
+    plot = tmp_path / "plots"
+    plot.write_text("a file, not a directory")
+    assert main(["signature", "--input", str(corpus_file), "--plot", str(plot)]) == 1
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_cli_signature_slope_diagnostics(corpus_file, capsys):
     rc = main(["signature", "--input", str(corpus_file), "--slope-diagnostics"])
     assert rc == 0
@@ -363,17 +420,18 @@ def test_cli_signature_slope_diagnostics(corpus_file, capsys):
 
 
 def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, capsys):
-    # _sign_at raises TypeError on a float point; the spy also shows it ran
+    # every sign is taken at a point k/d given as two exact integers, d > 0;
+    # the spy records that and also shows that the sign routine ran
     import knotcert.laurent as laurent_mod
 
     seen = set()
-    sign_at = laurent_mod._sign_at
+    sign_int = laurent_mod._sign_int
 
-    def spy(f, x):
-        seen.add(type(x))
-        return sign_at(f, x)
+    def spy(f, k, d):
+        seen.add((type(k), type(d), d > 0))
+        return sign_int(f, k, d)
 
-    monkeypatch.setattr(laurent_mod, "_sign_at", spy)
+    monkeypatch.setattr(laurent_mod, "_sign_int", spy)
     p = tmp_path / "c.json"
     p.write_text(
         json.dumps(
@@ -391,7 +449,7 @@ def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert out.count("slope ~ ") == 5
     assert out == (DATA / "slope_diagnostics_golden.txt").read_text(encoding="utf-8")
-    assert seen and seen <= {int, Fraction}
+    assert seen == {(int, int, True)}
 
 
 def test_cli_rejects_negative_refine_bits(corpus_file, capsys):

@@ -337,9 +337,8 @@ def test_halve_picks_the_half_sturm_picks():
             continue
         for f, _ in squarefree_decompose(p):
             chain = sturm_chain(list(f.coeffs))
-            for a, b in _isolate_squarefree(chain, Fraction(-4), Fraction(4)):
-                d = a.denominator * b.denominator
-                _halves(list(f.coeffs), int(a * d), int(b * d), d, 12)
+            for ka, kb, d in _isolate_squarefree(chain, -4, 4, 1):
+                _halves(list(f.coeffs), ka, kb, d, 12)
         checked += 1
 
 

@@ -1,0 +1,47 @@
+"""Smoke tests of the helper scripts under scripts/, each run as its own process."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import knotcert
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(script: str, *args: str) -> None:
+    # the child finds the package where this process did, installed or not
+    src = str(Path(knotcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_make_corpus_is_deterministic(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (first, second):
+        _run("make_corpus.py", "--count", "5", "--seed", "3", "--out", str(out))
+    assert len(json.loads(first.read_text())) == 5
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_plot_gallery_is_deterministic(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out in (first, second):
+        _run("plot_gallery.py", "--paper-angles", "--out", str(out))
+    files = _files(first)
+    assert {"trefoil.svg", "trefoil.csv"} <= set(files)
+    assert files == _files(second)
