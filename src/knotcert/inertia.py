@@ -537,15 +537,15 @@ def _eigenvalue_nearest_zero(h: CMatrix) -> float:
     radical = _pdivexact(ip, _pgcd(ip, _pderiv(ip)))
     chain = sturm_chain(radical)
     bound = 1 + Fraction(max(abs(c) for c in radical), abs(radical[-1]))
-    f = chain[0]
+    k, q = bound.numerator, bound.denominator
     resolved = []
-    for ka, kb, d in _isolate_squarefree(chain, -bound.numerator, bound.numerator, bound.denominator):
-        s_b = _sign_int(f, kb, d)
+    for ka, kb, d in _isolate_squarefree(chain, -k, k, q):
+        s_b = _sign_int(radical, kb, d)
         # narrow to width 2^-48 before comparing distances, else a wide
         # interval whose endpoint grazes zero shadows the nearest eigenvalue
         wide = (kb - ka) << 48
         while ka < 0 < kb or wide > d:
-            ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
+            ka, kb, d, s_b = _halve(radical, ka, kb, d, s_b)
         resolved.append((ka, kb, d))
     ka, kb, d = min(resolved, key=lambda iv: Fraction(min(abs(iv[0]), abs(iv[1])), iv[2]))
     return (ka + kb) / (2 * d)

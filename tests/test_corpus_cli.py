@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -399,7 +398,9 @@ def test_cli_directory_input_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["report", "certify"])
-def test_cli_out_into_missing_directory_fails_before_the_work(command, corpus_file, tmp_path, capsys):
+def test_cli_out_into_missing_directory_fails_before_the_work(
+    command, corpus_file, tmp_path, capsys
+):
     out = tmp_path / "missing" / "r.json"
     assert main([command, "--input", str(corpus_file), "--out", str(out)]) == 1
     assert "no such directory" in _one_error_line(capsys)

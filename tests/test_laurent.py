@@ -394,6 +394,28 @@ def test_dyadic_root_of_5_2_at_right_endpoint(bits):
     assert lo < hi and hi - lo <= Fraction(1, 2**bits)
 
 
+def test_isolation_builds_no_fraction_per_halving(monkeypatch):
+    # Fractions are built for witnesses and sturm_count only, so their number
+    # does not grow with the hundreds of halvings more refine_bits costs
+    import knotcert.laurent as laurent_mod
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(laurent_mod, "Fraction", CountingFraction)
+    p = to_z_poly(alexander_poly(block_sum(TORUS_2_5, granny_knot())))
+    counts = []
+    for bits in (32, 320):
+        built.clear()
+        assert len(isolate_unit_roots(p, refine_bits=bits)) == 3
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+
 def test_roots_refine_320_matches_golden(capsys):
     # T(2,17) and T(2,7)#T(2,7); the golden file was made by refining with
     # a Sturm count over (mid, b], and refining by the sign of the square-free
