@@ -129,11 +129,12 @@ def _sign_int(a: Sequence[int], k: int, d: int) -> int:
     With n = deg a, d^n * a(k/d) = sum of c_i k^i d^(n-i), which Horner
     builds as acc*k + c*d^(n-i); d > 0, so it has the sign of a(k/d).
     """
-    acc = 0
+    coeffs = reversed(a)
+    acc = next(coeffs, 0)
     d_pow = 1
-    for c in reversed(a):
-        acc = acc * k + c * d_pow
+    for c in coeffs:
         d_pow *= d
+        acc = acc * k + c * d_pow
     return (acc > 0) - (acc < 0)
 
 
