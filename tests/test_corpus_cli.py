@@ -453,6 +453,21 @@ def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, caps
     assert seen == {(int, int, True)}
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["alexander"], "pipeline_alexander_golden.txt"),
+        (["roots"], "pipeline_roots_golden.txt"),
+        (["signature", "--paper-angles"], "pipeline_signature_paper_golden.txt"),
+    ],
+)
+def test_cli_stdout_matches_golden(argv, golden, capsys):
+    # the corpus mixes simple, double and absent unit roots with an odd-size row
+    corpus = DATA / "pipeline_golden.json"
+    assert main([*argv, "--input", str(corpus)]) == 1
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_cli_rejects_negative_refine_bits(corpus_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots", "--input", str(corpus_file), "--refine-bits", "-1"])
