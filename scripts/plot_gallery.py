@@ -22,8 +22,8 @@ from knotcert.fixtures import (
     granny_knot,
     square_knot,
 )
-from knotcert.inertia import signature_profile, to_paper_parametrization
-from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
+from knotcert.certify import certify
+from knotcert.inertia import to_paper_parametrization
 
 
 def main() -> None:
@@ -45,8 +45,7 @@ def main() -> None:
         square_knot(),
     ]
     for v in knots:
-        witnesses = isolate_unit_roots(to_z_poly(alexander_poly(v)))
-        profile = signature_profile(v, witnesses)
+        profile = certify(v).profile
         if args.paper_angles:
             profile = to_paper_parametrization(profile)
         stem = v.name.replace("(", "").replace(")", "").replace(",", "_").replace("#", "_sum_").replace("*", "m")

@@ -16,7 +16,6 @@ from .certify import (
     Certificate,
     ConsistencyChecks,
     certify,
-    certify_batch,
 )
 from .errors import (
     CorpusParseError,
@@ -51,7 +50,6 @@ from .laurent import (
     UnitRootWitness,
     ZPoly,
     alexander_poly,
-    has_simple_unit_root,
     isolate_unit_roots,
     squarefree_decompose,
     to_z_poly,
@@ -60,7 +58,6 @@ from .seifert import (
     KnotMetadata,
     SeifertMatrix,
     block_sum,
-    genus,
     mirror,
     symmetrized_form,
     validate,
@@ -100,10 +97,7 @@ __all__ = [
     "b_matrix_at",
     "block_sum",
     "certify",
-    "certify_batch",
     "det_sign_crosscheck",
-    "genus",
-    "has_simple_unit_root",
     "inertia",
     "isolate_unit_roots",
     "jump_reports",

@@ -27,9 +27,7 @@ from .laurent import (
     SymmetricLaurentPoly,
     UnitRootWitness,
     alexander_poly,
-    has_simple_unit_root,
     isolate_unit_roots,
-    squarefree_decompose,
     to_z_poly,
 )
 from .seifert import KnotMetadata, SeifertMatrix, validate
@@ -132,30 +130,29 @@ def certify(
 ) -> Certificate:
     """Run the full pipeline on a Seifert matrix and emit a certificate.
 
-    ``v`` may be a validated SeifertMatrix or a raw integer matrix; raw
-    inputs failing validation yield an INVALID_INPUT certificate rather than
-    raising.  Any failed internal consistency check raises
-    InternalInconsistencyError; a certificate with failed checks is never
-    emitted.
+    ``v`` may be a validated SeifertMatrix, which is trusted as is, or a raw
+    matrix; raw inputs failing validation, non-integer entries included,
+    yield an INVALID_INPUT certificate rather than raising.  Any failed
+    internal consistency check raises InternalInconsistencyError; a
+    certificate with failed checks is never emitted.
     """
     if isinstance(v, SeifertMatrix):
         matrix = v
     else:
         try:
             matrix = validate(v, name=name)
-        except ValidationError as exc:
+        except (ValidationError, TypeError) as exc:
             return _invalid_certificate(meta, name, f"{type(exc).__name__}: {exc}")
     label = name if name is not None else matrix.name
 
     delta = alexander_poly(matrix)
     p_z = to_z_poly(delta)
-    squarefree_decompose(p_z)  # raises on the impossible zero polynomial
     witnesses = isolate_unit_roots(p_z, refine_bits=refine_bits)
     profile = signature_profile(matrix, witnesses)
     jumps = jump_reports(profile)
 
     checks = ConsistencyChecks(
-        det_sign_crosscheck=det_sign_crosscheck(matrix, profile),
+        det_sign_crosscheck=det_sign_crosscheck(p_z, profile),
         first_plateau_zero=profile.plateau_values[0] == 0,
         parity=delta.evaluate(-1).denominator == 1
         and int(delta.evaluate(-1)) % 2 != 0,
@@ -165,26 +162,22 @@ def certify(
             f"consistency checks failed for {label or 'input'}: {checks}"
         )
 
-    found_simple, simple = has_simple_unit_root(witnesses)
-    if found_simple:
-        # a simple root has exactly one eigenvalue crossing zero transversely,
-        # so its signature jump must be exactly +-2; fail closed otherwise
-        by_root = {j.root: j for j in jumps}
-        for w in simple:
-            if abs(by_root[w].jump) != 2:
-                raise InternalInconsistencyError(
-                    f"simple root with |jump| = {abs(by_root[w].jump)} != 2"
-                )
-    verdict = CERTIFIED if found_simple and meta.assume_irreducible else NOT_APPLICABLE
-    simple_sorted = tuple(sorted(simple, key=lambda w: w.interval))
-    odd = tuple(
-        w for w in sorted(witnesses, key=lambda w: w.interval) if w.multiplicity % 2 == 1
-    )
+    # a simple root has exactly one eigenvalue crossing zero transversely,
+    # so its signature jump must be exactly +-2; fail closed otherwise
+    simple = [w for w in witnesses if w.is_simple]
+    by_root = {j.root: j for j in jumps}
+    for w in simple:
+        if abs(by_root[w].jump) != 2:
+            raise InternalInconsistencyError(
+                f"simple root with |jump| = {abs(by_root[w].jump)} != 2"
+            )
+    verdict = CERTIFIED if simple and meta.assume_irreducible else NOT_APPLICABLE
+    # isolate_unit_roots returns the witnesses sorted by z
     return Certificate(
         verdict=verdict,
-        simple_root_witnesses=simple_sorted,
+        simple_root_witnesses=tuple(simple),
         jump_witnesses=tuple(jumps),
-        odd_multiplicity_witnesses=odd,
+        odd_multiplicity_witnesses=tuple(w for w in witnesses if w.multiplicity % 2 == 1),
         assumptions_echoed=meta,
         conclusion_text=_conclusion(verdict, meta, jumps),
         consistency_checks=checks,
@@ -194,17 +187,3 @@ def certify(
         signature_at_minus_one=profile.value_at_minus_one,
         profile=profile,
     )
-
-
-def certify_batch(
-    inputs: Sequence[tuple[object, KnotMetadata]],
-    *,
-    refine_bits: int = 32,
-) -> list[Certificate]:
-    """Order-preserving certification of many (matrix, metadata) pairs.
-
-    Invalid inputs become per-entry INVALID_INPUT records instead of
-    aborting the batch.  InternalInconsistencyError still propagates: it
-    signals a bug in this software, not a property of the input.
-    """
-    return [certify(v, meta, refine_bits=refine_bits) for v, meta in inputs]

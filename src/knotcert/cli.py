@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: validate, alexander, roots, signature, certify, report.
+Every matrix is validated once, when the corpus is parsed.  signature,
+certify and report run the full certificate pipeline with all of its exact
+cross-checks; alexander and roots compute only what they print.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 input or
 validation errors (a missing, unreadable or non-UTF-8 --input, or an --out
 or --plot path that cannot be written, included), 2 failed internal
-consistency check or a bad option.
+consistency check (in signature, certify or report) or a bad option.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .certify import INVALID_INPUT
+from .certify import INVALID_INPUT, certify
 from .corpus import (
     CorpusError,
     certificates_to_json,
@@ -28,13 +31,8 @@ from .errors import (
     InternalInconsistencyError,
     UnknownFormatError,
 )
-from .inertia import (
-    signature_profile,
-    to_paper_parametrization,
-    transversality_diagnostic,
-)
+from .inertia import to_paper_parametrization, transversality_diagnostic
 from .laurent import alexander_poly, isolate_unit_roots, to_z_poly
-from .seifert import validate
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -138,7 +136,7 @@ def _cmd_validate(rows) -> int:
             _print_row_error(row)
             status = EXIT_INPUT_ERROR
         else:
-            print(f"OK {row.name}: genus {len(row.seifert) // 2}")
+            print(f"OK {row.name}: genus {row.seifert.genus}")
     return status
 
 
@@ -149,7 +147,7 @@ def _cmd_alexander(rows) -> int:
             _print_row_error(row)
             status = EXIT_INPUT_ERROR
             continue
-        delta = alexander_poly(validate(row.seifert, name=row.name))
+        delta = alexander_poly(row.seifert)
         print(f"{row.name}: {delta}")
     return status
 
@@ -161,8 +159,8 @@ def _cmd_roots(rows, refine_bits: int) -> int:
             _print_row_error(row)
             status = EXIT_INPUT_ERROR
             continue
-        v = validate(row.seifert, name=row.name)
-        witnesses = isolate_unit_roots(to_z_poly(alexander_poly(v)), refine_bits=refine_bits)
+        p_z = to_z_poly(alexander_poly(row.seifert))
+        witnesses = isolate_unit_roots(p_z, refine_bits=refine_bits)
         print(f"{row.name}: {len(witnesses)} unit root(s)")
         for w in witnesses:
             print(
@@ -191,11 +189,8 @@ def _cmd_signature(
             _print_row_error(row)
             status = EXIT_INPUT_ERROR
             continue
-        v = validate(row.seifert, name=row.name)
-        witnesses = isolate_unit_roots(to_z_poly(alexander_poly(v)), refine_bits=refine_bits)
-        profile = signature_profile(v, witnesses)
-        if paper:
-            profile = to_paper_parametrization(profile)
+        cert = certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
+        profile = to_paper_parametrization(cert.profile) if paper else cert.profile
         angle = "alpha" if paper else "phi"
         jumps = ", ".join(
             f"{profile.plateau_values[i + 1] - profile.plateau_values[i]:+d} at "
@@ -208,8 +203,8 @@ def _cmd_signature(
             + (f", jumps: {jumps}" if jumps else "")
         )
         if slopes:
-            for i in range(len(witnesses)):
-                diag = transversality_diagnostic(v, witnesses, i)
+            for i in range(len(cert.profile.jump_angles)):
+                diag = transversality_diagnostic(row.seifert, cert.profile.jump_angles, i)
                 print(
                     f"  root {i}: eigenvalue {diag.left_eigenvalue:+.6g} -> "
                     f"{diag.right_eigenvalue:+.6g}, slope ~ {diag.slope:+.6g}"

@@ -26,21 +26,21 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .certify import CERTIFIED, Certificate, ConsistencyChecks, certify
+from .certify import Certificate, ConsistencyChecks, _invalid_certificate, certify
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
 from .inertia import JumpReport, SignatureProfile
 from .laurent import SymmetricLaurentPoly, UnitRootWitness
-from .seifert import KnotMetadata, validate
+from .seifert import KnotMetadata, SeifertMatrix, validate
 
 FORMATS = ("json", "jsonl", "csv")
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One named Seifert matrix with its user assertions."""
+    """One named Seifert matrix, validated at parse time, with its user assertions."""
 
     name: str
-    seifert: tuple[tuple[int, ...], ...]
+    seifert: SeifertMatrix
     assume_irreducible: bool = True
     assume_m0_prime: bool = False
 
@@ -79,7 +79,7 @@ def _entry_from_obj(obj, row: int) -> ParsedRow:
                 return CorpusError(row, name, f"'{key}' must be a boolean")
             flags[key] = obj[key]
     try:
-        matrix = validate(seifert).entries
+        matrix = validate(seifert, name=name)
     except (ValidationError, TypeError, ValueError) as exc:
         return CorpusError(row, name, f"row {row} ({name}): {exc}")
     return CorpusEntry(name=name, seifert=matrix, **flags)
@@ -88,7 +88,9 @@ def _entry_from_obj(obj, row: int) -> ParsedRow:
 def _parse_json(text: str) -> list[ParsedRow]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError comes from arrays nested past the recursion limit
         raise CorpusParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CorpusParseError("top-level JSON value must be an array of entries")
@@ -103,7 +105,7 @@ def _parse_jsonl(text: str) -> list[ParsedRow]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             out.append(CorpusError(row, None, f"bad JSON line: {exc}"))
         else:
             out.append(_entry_from_obj(obj, row))
@@ -167,7 +169,7 @@ def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str =
         objs = [
             {
                 "name": e.name,
-                "seifert": [list(row) for row in e.seifert],
+                "seifert": [list(row) for row in e.seifert.entries],
                 "assume_irreducible": e.assume_irreducible,
                 "assume_m0_prime": e.assume_m0_prime,
             }
@@ -184,8 +186,8 @@ def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str =
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for e in entries:
-            flat = [x for row in e.seifert for x in row]
-            writer.writerow([e.name, *flat, len(e.seifert)])
+            flat = [x for row in e.seifert.entries for x in row]
+            writer.writerow([e.name, *flat, e.seifert.size])
         path.write_text(buf.getvalue(), encoding="utf-8")
         return
     raise UnknownFormatError(f"unknown corpus format {format!r}")
@@ -320,9 +322,12 @@ def certificates_from_json(text: str) -> list[Certificate]:
 
 
 def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certificate]:
-    """Certify parsed corpus rows in order; error rows become INVALID_INPUT records."""
-    from .certify import _invalid_certificate
+    """Certify parsed corpus rows in order; error rows become INVALID_INPUT records.
 
+    Entries carry the matrix validated at parse time, so none is validated again.
+    InternalInconsistencyError propagates: it signals a bug in this software,
+    not a property of the input.
+    """
     out = []
     for row in rows:
         if isinstance(row, CorpusError):

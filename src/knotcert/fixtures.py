@@ -106,5 +106,5 @@ def random_corpus(count: int, seed: int = 0, max_genus: int = 3) -> list[CorpusE
     entries = []
     for i in range(count):
         v = random_valid_matrix(rng, max_genus=max_genus)
-        entries.append(CorpusEntry(name=f"fixture_{i:03d}", seifert=v.entries))
+        entries.append(CorpusEntry(name=f"fixture_{i:03d}", seifert=v))
     return entries

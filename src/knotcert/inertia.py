@@ -40,6 +40,7 @@ from typing import Sequence
 from .errors import InternalInconsistencyError, SampleOnRootError
 from .laurent import (
     UnitRootWitness,
+    ZPoly,
     _halve,
     _isolate_squarefree,
     _pderiv,
@@ -47,9 +48,7 @@ from .laurent import (
     _pgcd,
     _primitive,
     _sign_int,
-    alexander_poly,
     sturm_chain,
-    to_z_poly,
 )
 from .seifert import SeifertMatrix, symmetrized_form
 
@@ -425,23 +424,15 @@ def signature_profile(
     )
 
 
-def jump_reports(
-    profile: SignatureProfile,
-    witnesses: Sequence[UnitRootWitness] | None = None,
-) -> list[JumpReport]:
+def jump_reports(profile: SignatureProfile) -> list[JumpReport]:
     """Per-root one-sided limits and jumps, ordered by increasing angle.
 
     ``transversal_simple`` is set purely from multiplicity = 1: a simple root
     forces the single vanishing eigenvalue to cross zero with nonzero slope
     (det B changes sign to first order), so no numerical slope test is run.
     """
-    roots = profile.jump_angles if witnesses is None else tuple(
-        sorted(witnesses, key=lambda w: w.interval, reverse=True)
-    )
-    if roots != profile.jump_angles:
-        raise ValueError("witnesses do not match the profile's jump set")
     out = []
-    for i, w in enumerate(roots):
+    for i, w in enumerate(profile.jump_angles):
         left = profile.plateau_values[i]
         right = profile.plateau_values[i + 1]
         jump = right - left
@@ -467,28 +458,18 @@ def jump_reports(
     return out
 
 
-def det_sign_crosscheck(
-    v: SeifertMatrix,
-    profile: SignatureProfile,
-    witnesses: Sequence[UnitRootWitness] | None = None,
-) -> bool:
+def det_sign_crosscheck(p_z: ZPoly, profile: SignatureProfile) -> bool:
     """Verify det B against the signature data on every plateau.
 
-    Three exact checks, any failure returning False:
+    ``p_z`` is the z-form of the Alexander polynomial whose roots ``profile``
+    was sampled between.  Three exact checks, any failure returning False:
     * det B(w) = (z-2)^g P(z) at every recorded sample (z = w + conj(w)),
       the determinant factorization that ties B to the Alexander polynomial;
     * sign(det B) = (-1)^((2g - signature)/2) on every plateau (the count of
       negative eigenvalues determines the determinant sign);
     * the determinant sign flips across a root iff its multiplicity is odd.
     """
-    p_z = to_z_poly(alexander_poly(v))
-    g = v.genus
-    roots = profile.jump_angles if witnesses is None else tuple(
-        sorted(witnesses, key=lambda w: w.interval, reverse=True)
-    )
-    if roots != profile.jump_angles:
-        return False
-
+    g = profile.genus
     points = list(zip(profile.arc_samples, profile.arc_dets, profile.plateau_values))
     for point, det, sig in points:
         z = point.z
@@ -499,7 +480,7 @@ def det_sign_crosscheck(
             return False
     if profile.det_at_minus_one != Fraction(-4) ** g * p_z.evaluate(-2):
         return False
-    for i, w in enumerate(roots):
+    for i, w in enumerate(profile.jump_angles):
         flips = (profile.arc_dets[i] > 0) != (profile.arc_dets[i + 1] > 0)
         if flips != (w.multiplicity % 2 == 1):
             return False

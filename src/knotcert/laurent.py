@@ -651,11 +651,3 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
         )
     out.sort(key=lambda w: w.interval)
     return out
-
-
-def has_simple_unit_root(
-    witnesses: Sequence[UnitRootWitness],
-) -> tuple[bool, list[UnitRootWitness]]:
-    """Whether any isolated unit root is simple, plus the simple witnesses."""
-    simple = [w for w in witnesses if w.multiplicity == 1]
-    return bool(simple), simple

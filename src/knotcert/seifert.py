@@ -36,9 +36,6 @@ class SeifertMatrix:
     def genus(self) -> int:
         return len(self.entries) // 2
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __str__(self) -> str:
         label = self.name or "V"
         return f"{label}({self.size}x{self.size})"
@@ -111,11 +108,6 @@ def validate(entries: Sequence[Sequence[int]], name: str | None = None) -> Seife
     if d != 1:
         raise NonSymplecticError(f"det(V - V^T) = {d}, expected 1")
     return SeifertMatrix(entries=m, name=name)
-
-
-def genus(v: SeifertMatrix) -> int:
-    """Genus g of the underlying Seifert surface (half the matrix size)."""
-    return v.genus
 
 
 def block_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:

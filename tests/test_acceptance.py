@@ -134,18 +134,23 @@ def test_criterion_5_property_suite_200_fixtures():
                 failures.append((i, "normalization"))
             if int(delta.evaluate(-1)) % 2 == 0:
                 failures.append((i, "parity"))
-            witnesses = isolate_unit_roots(to_z_poly(delta))
+            p_z = to_z_poly(delta)
+            witnesses = isolate_unit_roots(p_z)
             profile = signature_profile(base, witnesses)
+            if profile.jump_angles != tuple(
+                sorted(witnesses, key=lambda w: w.interval, reverse=True)
+            ):
+                failures.append((i, "jump angles are the witnesses in angle order"))
             if profile.plateau_values[0] != 0:
                 failures.append((i, "first plateau"))
             if any(p % 2 for p in profile.plateau_values):
                 failures.append((i, "even plateaus"))
-            for jr in jump_reports(profile, witnesses):
+            for jr in jump_reports(profile):
                 if abs(jr.jump) > 2 * jr.root.multiplicity:
                     failures.append((i, "jump bound"))
                 if jr.odd_multiplicity and jr.jump == 0:
                     failures.append((i, "odd multiplicity jump"))
-            if not det_sign_crosscheck(base, profile, witnesses):
+            if not det_sign_crosscheck(p_z, profile):
                 failures.append((i, "det-sign crosscheck"))
             cert_base = certify(base)
             cert_twisted = certify(twisted)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from knotcert.certify import (
@@ -9,16 +11,18 @@ from knotcert.certify import (
     INVALID_INPUT,
     NOT_APPLICABLE,
     certify,
-    certify_batch,
 )
+from knotcert.corpus import CorpusEntry, CorpusError, certify_rows, parse_corpus
 from knotcert.fixtures import (
     FIGURE_EIGHT,
     TREFOIL,
+    UNKNOT,
     congruent,
     granny_knot,
     random_unimodular,
     square_knot,
 )
+from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
 from knotcert.seifert import KnotMetadata
 
 from conftest import seifert_matrices
@@ -89,21 +93,57 @@ def test_certify_invalid_input():
     assert cert.consistency_checks is None
 
 
-def test_certify_batch_empty():
-    assert certify_batch([]) == []
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[1.5, 0], [0, 1]],
+        [[True, True], [False, True]],
+        [["a"]],
+        [[1, 0], 7],  # a row that is not a list
+    ],
+)
+def test_certify_non_integer_raw_input_is_invalid(raw):
+    cert = certify(raw, name="raw")
+    assert cert.verdict == INVALID_INPUT
+    assert cert.error.startswith("TypeError: ")
+    assert cert.name == "raw"
+    assert cert.consistency_checks is None
 
 
-def test_certify_batch_order_and_isolation():
-    meta = KnotMetadata()
-    certs = certify_batch(
-        [
-            (TREFOIL, meta),
-            ([[1]], meta),  # odd size: per-input error record
-            (FIGURE_EIGHT, meta),
-        ]
+def test_certify_selects_simple_root_witnesses():
+    trefoil_ws = isolate_unit_roots(to_z_poly(alexander_poly(TREFOIL)))
+    assert certify(TREFOIL).simple_root_witnesses == tuple(trefoil_ws)
+
+    unknot = certify(UNKNOT)
+    assert unknot.simple_root_witnesses == () and unknot.verdict == NOT_APPLICABLE
+
+    granny = certify(granny_knot())
+    assert granny.jump_witnesses and granny.simple_root_witnesses == ()
+    assert granny.verdict == NOT_APPLICABLE
+
+
+def test_certify_rows_empty():
+    assert certify_rows([]) == []
+
+
+def test_certify_rows_order_and_isolation(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(
+        json.dumps(
+            [
+                {"name": "trefoil", "seifert": [[-1, 1], [0, -1]]},
+                {"name": "odd", "seifert": [[1]]},  # odd size: per-row error record
+                {"name": "figure8", "seifert": [[1, 1], [0, -1]]},
+            ]
+        )
     )
+    rows = parse_corpus(p)
+    assert [type(r) for r in rows] == [CorpusEntry, CorpusError, CorpusEntry]
+    certs = certify_rows(rows)
     assert [c.verdict for c in certs] == [CERTIFIED, INVALID_INPUT, NOT_APPLICABLE]
-    assert "OddSizeError" in certs[1].error
+    assert [c.name for c in certs] == ["trefoil", "odd", "figure8"]
+    assert certs[1].error == "row 1 (odd): matrix size 1 is odd; Seifert matrices are 2g x 2g"
+    assert "OddSizeError" in certify([[1]]).error
 
 
 @given(seifert_matrices(max_genus=2))

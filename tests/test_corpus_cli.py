@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from knotcert.errors import CorpusParseError, UnknownFormatError
 from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, random_corpus
 from knotcert.inertia import signature_profile
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
+from knotcert.seifert import validate
 
 TREFOIL_OBJ = {"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}
 DATA = Path(__file__).parent / "data"
@@ -44,7 +46,8 @@ def test_parse_json_roundtrip(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps([TREFOIL_OBJ]))
     (entry,) = parse_corpus(p)
-    assert entry == CorpusEntry("trefoil", ((-1, 1), (0, -1)))
+    assert entry == CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))
+    assert entry.seifert.name == "trefoil"
     assert entry.assume_irreducible and not entry.assume_m0_prime
 
 
@@ -106,7 +109,7 @@ def test_parse_csv(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("trefoil,-1,1,0,-1,2\nshort,-1,1,2\n")
     rows = parse_corpus(p)
-    assert rows[0] == CorpusEntry("trefoil", ((-1, 1), (0, -1)))
+    assert rows[0] == CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))
     assert isinstance(rows[1], CorpusError)
 
 
@@ -495,6 +498,117 @@ def test_cli_internal_inconsistency_exit_code(corpus_file, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "certify_rows", boom)
     assert main(["report", "--input", str(corpus_file)]) == 2
+
+
+def _spy(monkeypatch, names):
+    """Count [calls, returns] of knotcert functions in every module that binds them."""
+    counts = {}
+    for name in names:
+        layer, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"knotcert.{layer}"), attr)
+        counts[name] = count = [0, 0]
+
+        def spy(*args, _fn=fn, _count=count, **kwargs):
+            _count[0] += 1
+            result = _fn(*args, **kwargs)
+            _count[1] += 1
+            return result
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "knotcert":
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, spy)
+    return counts
+
+
+def test_report_runs_each_stage_once_per_valid_entry(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(
+        json.dumps(
+            [
+                TREFOIL_OBJ,
+                {"name": "odd", "seifert": [[1]]},
+                {"name": "5_2", "seifert": [[-1, 1], [0, -2]]},
+                {"name": "T(2,5)", "seifert": [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]},
+            ]
+        )
+    )
+    stages = ["laurent.alexander_poly", "laurent.to_z_poly", "laurent.squarefree_decompose"]
+    counts = _spy(monkeypatch, ["seifert.validate", "certify.certify", *stages])
+    assert main(["report", "--input", str(p)]) == 1
+    # the odd-size row is rejected by its one validate call, at parse time
+    assert counts["seifert.validate"] == [4, 3]
+    assert counts["certify.certify"] == [3, 3]
+    for name in stages:
+        assert counts[name] == [3, 3], name
+
+
+@pytest.mark.parametrize("command", ["alexander", "roots"])
+def test_alexander_and_roots_build_no_certificate(command, corpus_file, monkeypatch, capsys):
+    counts = _spy(
+        monkeypatch, ["certify.certify", "inertia.signature_profile", "laurent.alexander_poly"]
+    )
+    assert main([command, "--input", str(corpus_file)]) == 0
+    assert counts == {
+        "certify.certify": [0, 0],
+        "inertia.signature_profile": [0, 0],
+        "laurent.alexander_poly": [2, 2],
+    }
+
+
+def test_cli_signature_fails_closed_on_a_failed_crosscheck(corpus_file, monkeypatch, capsys):
+    certify_mod = importlib.import_module("knotcert.certify")
+    monkeypatch.setattr(certify_mod, "det_sign_crosscheck", lambda p_z, profile: False)
+    assert main(["signature", "--input", str(corpus_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: consistency checks failed for trefoil")
+
+
+def _int_digit_limit() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int-string digit limit")
+    return limit
+
+
+def test_cli_hostile_json_file_is_one_error_line(tmp_path, capsys):
+    long_int = "1" * (_int_digit_limit() + 1)
+    payloads = {
+        "long_int.json": '[{"name": "big", "seifert": [[' + long_int + "]]}]",
+        "deep.json": "[" * 100_000,
+    }
+    for fname, text in payloads.items():
+        p = tmp_path / fname
+        p.write_text(text)
+        with pytest.raises(CorpusParseError):
+            parse_corpus(p)
+        assert main(["validate", "--input", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_hostile_jsonl_lines_are_row_errors(tmp_path, capsys):
+    long_int = "1" * (_int_digit_limit() + 1)
+    p = tmp_path / "c.jsonl"
+    p.write_text(
+        json.dumps(TREFOIL_OBJ)
+        + "\n"
+        + '{"name": "big", "seifert": [[' + long_int + "]]}\n"
+        + "[" * 100_000
+        + "\n"
+    )
+    rows = parse_corpus(p)
+    assert [type(r) for r in rows] == [CorpusEntry, CorpusError, CorpusError]
+    assert main(["validate", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "OK trefoil: genus 1"
+    assert lines[1].startswith("ERROR row 1 (?): bad JSON line: Exceeds the limit")
+    assert lines[2].startswith("ERROR row 2 (?): bad JSON line: maximum recursion depth")
+    assert len(lines) == 3 and captured.err == ""
 
 
 def test_cli_module_entry_point(corpus_file):

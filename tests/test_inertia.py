@@ -43,6 +43,10 @@ def profile_of(v: SeifertMatrix):
     return signature_profile(v, witnesses), witnesses
 
 
+def p_of(v: SeifertMatrix):
+    return to_z_poly(alexander_poly(v))
+
+
 # --- B matrix ----------------------------------------------------------------
 
 
@@ -191,7 +195,8 @@ def test_profile_samples_are_strictly_between_roots():
 
 def test_jump_reports_trefoil():
     profile, ws = profile_of(TREFOIL)
-    (report,) = jump_reports(profile, ws)
+    (report,) = jump_reports(profile)
+    assert report.root == ws[0]
     assert report.left_value == 0
     assert report.right_value == -2
     assert report.jump == -2
@@ -213,19 +218,12 @@ def test_jump_reports_granny_and_square():
     assert report.root.multiplicity == 2
 
 
-def test_jump_reports_rejects_mismatched_witnesses():
-    profile, _ = profile_of(TREFOIL)
-    _, other = profile_of(TORUS_2_5)
-    with pytest.raises(ValueError):
-        jump_reports(profile, other)
-
-
 # --- determinant crosscheck -----------------------------------------------------
 
 
 def test_det_sign_crosscheck_trefoil_values():
-    profile, ws = profile_of(TREFOIL)
-    assert det_sign_crosscheck(TREFOIL, profile, ws)
+    profile, _ = profile_of(TREFOIL)
+    assert det_sign_crosscheck(p_of(TREFOIL), profile)
     # first plateau (signature 0, g = 1): one negative eigenvalue, det < 0
     assert profile.arc_dets[0] < 0
     # past the jump the signature is -2, both eigenvalues negative, det > 0;
@@ -236,14 +234,14 @@ def test_det_sign_crosscheck_trefoil_values():
 
 
 def test_det_sign_crosscheck_figure_eight_negative_throughout():
-    profile, ws = profile_of(FIGURE_EIGHT)
-    assert det_sign_crosscheck(FIGURE_EIGHT, profile, ws)
+    profile, _ = profile_of(FIGURE_EIGHT)
+    assert det_sign_crosscheck(p_of(FIGURE_EIGHT), profile)
     assert all(d < 0 for d in profile.arc_dets)
 
 
 def test_det_sign_crosscheck_empty_matrix_vacuous():
-    profile, ws = profile_of(UNKNOT)
-    assert det_sign_crosscheck(UNKNOT, profile, ws)
+    profile, _ = profile_of(UNKNOT)
+    assert det_sign_crosscheck(p_of(UNKNOT), profile)
 
 
 # --- reporting transform --------------------------------------------------------
@@ -284,11 +282,12 @@ def test_profile_invariants(v):
     sym_p, sym_n, sym_z = inertia(symmetrized_form(v))
     assert sym_z == 0
     assert profile.value_at_minus_one == sym_p - sym_n
-    for report in jump_reports(profile, ws):
+    assert profile.jump_angles == tuple(sorted(ws, key=lambda w: w.interval, reverse=True))
+    for report in jump_reports(profile):
         assert abs(report.jump) <= 2 * report.root.multiplicity
         if report.odd_multiplicity:
             assert report.jump != 0
-    assert det_sign_crosscheck(v, profile, ws)
+    assert det_sign_crosscheck(p_of(v), profile)
 
 
 @given(seifert_matrices(max_genus=2))

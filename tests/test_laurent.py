@@ -31,7 +31,6 @@ from knotcert.laurent import (
     _peval,
     _sign_at,
     alexander_poly,
-    has_simple_unit_root,
     isolate_unit_roots,
     squarefree_decompose,
     sturm_chain,
@@ -199,19 +198,6 @@ def test_isolate_rejects_roots_at_endpoints():
         isolate_unit_roots(ZPoly([-2, 1]))  # root z = 2
     with pytest.raises(RootAtPlusMinusOneError):
         isolate_unit_roots(ZPoly([2, 1]))  # root z = -2
-
-
-def test_has_simple_unit_root_selection():
-    trefoil_ws = isolate_unit_roots(to_z_poly(alexander_poly(TREFOIL)))
-    ok, selected = has_simple_unit_root(trefoil_ws)
-    assert ok and selected == trefoil_ws
-
-    ok, selected = has_simple_unit_root([])
-    assert not ok and selected == []
-
-    granny_ws = isolate_unit_roots(to_z_poly(alexander_poly(granny_knot())))
-    ok, selected = has_simple_unit_root(granny_ws)
-    assert not ok and selected == []
 
 
 # --- properties over random valid matrices -----------------------------------

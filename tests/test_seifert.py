@@ -9,7 +9,6 @@ from knotcert.fixtures import TREFOIL, UNKNOT, granny_knot, square_knot
 from knotcert.seifert import (
     block_sum,
     det_int,
-    genus,
     mirror,
     symmetrized_form,
     validate,
@@ -21,7 +20,7 @@ from conftest import seifert_matrices
 def test_validate_unknot():
     v = validate([])
     assert v.size == 0
-    assert genus(v) == 0
+    assert v.genus == 0
 
 
 def test_validate_rejects_booleans():
@@ -34,7 +33,7 @@ def test_validate_rejects_booleans():
 
 def test_validate_trefoil():
     v = validate([[-1, 1], [0, -1]])
-    assert genus(v) == 1
+    assert v.genus == 1
     # det(V - V^T) = det([[0,1],[-1,0]]) = 1 by cofactor expansion
     assert det_int([[0, 1], [-1, 0]]) == 1
 
@@ -60,9 +59,9 @@ def test_validate_rejects_wrong_skew_determinant():
 
 
 def test_genus_examples():
-    assert genus(UNKNOT) == 0
-    assert genus(TREFOIL) == 1
-    assert genus(granny_knot()) == 2
+    assert UNKNOT.genus == 0
+    assert TREFOIL.genus == 1
+    assert granny_knot().genus == 2
 
 
 def test_block_sum_with_unknot_is_identity():
