@@ -7,106 +7,72 @@ equivariant signature step function of the Hermitian form
 B(w) = (1-w)V + (1-conj(w))V^T on the unit circle, and a machine-checkable
 certificate for the simple-unit-root hypothesis that implies left-orderable
 fundamental groups of small nonzero Dehn fillings.
+
+``import knotcert`` loads no layer: each public name is imported from its
+home module on first use (PEP 562), so a caller that needs only
+``knotcert.validate`` never loads ``knotcert.certify`` or
+``knotcert.inertia``.  ``knotcert.certify`` and ``knotcert.inertia`` are
+the functions, not the submodules of the same name; fetch those with
+``importlib.import_module``.
 """
 
-from .certify import (
-    CERTIFIED,
-    INVALID_INPUT,
-    NOT_APPLICABLE,
-    Certificate,
-    ConsistencyChecks,
-    certify,
-)
-from .errors import (
-    CorpusParseError,
-    InternalInconsistencyError,
-    KnotCertError,
-    NonSquareError,
-    NonSymplecticError,
-    NormalizationError,
-    NotReciprocalError,
-    OddSizeError,
-    RootAtPlusMinusOneError,
-    SampleOnRootError,
-    UnknownFormatError,
-    ValidationError,
-    ZeroPolynomialError,
-)
-from .inertia import (
-    JumpReport,
-    SignatureProfile,
-    SlopeDiagnostic,
-    UnitCirclePoint,
-    b_matrix_at,
-    det_sign_crosscheck,
-    inertia,
-    jump_reports,
-    signature_profile,
-    to_paper_parametrization,
-    transversality_diagnostic,
-)
-from .laurent import (
-    SymmetricLaurentPoly,
-    UnitRootWitness,
-    ZPoly,
-    alexander_poly,
-    isolate_unit_roots,
-    squarefree_decompose,
-    to_z_poly,
-)
-from .seifert import (
-    KnotMetadata,
-    SeifertMatrix,
-    block_sum,
-    mirror,
-    symmetrized_form,
-    validate,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CERTIFIED",
-    "INVALID_INPUT",
-    "NOT_APPLICABLE",
-    "Certificate",
-    "ConsistencyChecks",
-    "CorpusParseError",
-    "InternalInconsistencyError",
-    "JumpReport",
-    "KnotCertError",
-    "KnotMetadata",
-    "NonSquareError",
-    "NonSymplecticError",
-    "NormalizationError",
-    "NotReciprocalError",
-    "OddSizeError",
-    "RootAtPlusMinusOneError",
-    "SampleOnRootError",
-    "SeifertMatrix",
-    "SignatureProfile",
-    "SlopeDiagnostic",
-    "SymmetricLaurentPoly",
-    "UnitCirclePoint",
-    "UnitRootWitness",
-    "UnknownFormatError",
-    "ValidationError",
-    "ZPoly",
-    "ZeroPolynomialError",
-    "alexander_poly",
-    "b_matrix_at",
-    "block_sum",
-    "certify",
-    "det_sign_crosscheck",
-    "inertia",
-    "isolate_unit_roots",
-    "jump_reports",
-    "mirror",
-    "signature_profile",
-    "squarefree_decompose",
-    "symmetrized_form",
-    "to_paper_parametrization",
-    "to_z_poly",
-    "transversality_diagnostic",
-    "validate",
-]
+# public name -> home module (written grouped by module); __all__, __getattr__
+# and __dir__ all read this one table
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "certify": "CERTIFIED INVALID_INPUT NOT_APPLICABLE Certificate ConsistencyChecks certify",
+        "errors": (
+            "CorpusParseError InternalInconsistencyError KnotCertError NonSquareError"
+            " NonSymplecticError NormalizationError NotReciprocalError OddSizeError"
+            " RootAtPlusMinusOneError SampleOnRootError UnknownFormatError ValidationError"
+            " ZeroPolynomialError"
+        ),
+        "inertia": (
+            "JumpReport SignatureProfile SlopeDiagnostic UnitCirclePoint b_matrix_at"
+            " det_sign_crosscheck inertia jump_reports signature_profile"
+            " to_paper_parametrization transversality_diagnostic"
+        ),
+        "laurent": (
+            "SymmetricLaurentPoly UnitRootWitness ZPoly alexander_poly isolate_unit_roots"
+            " squarefree_decompose to_z_poly"
+        ),
+        "seifert": "KnotMetadata SeifertMatrix block_sum mirror symmetrized_form validate",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Package(types.ModuleType):
+    """The package module; a submodule never rebinds a public name.
+
+    Importing ``knotcert.certify`` or ``knotcert.inertia`` sets the package
+    attribute of that name to the submodule, which would hide the function.
+    """
+
+    def __setattr__(self, name, value):
+        if not (isinstance(value, types.ModuleType) and name in _EXPORTS):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

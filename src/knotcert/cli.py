@@ -4,10 +4,14 @@ Subcommands: validate, alexander, roots, signature, certify, report.
 Every matrix is validated once, when the corpus is parsed.  signature,
 certify and report run the full certificate pipeline with all of its exact
 cross-checks; alexander and roots compute only what they print.
+Each command loads only the layers it runs: validate, alexander and roots
+load corpus, errors, laurent and seifert; signature, certify and report
+also load certify and inertia, which the command functions below import.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 input or
-validation errors (a missing, unreadable or non-UTF-8 --input, or an --out
-or --plot path that cannot be written, included), 2 failed internal
-consistency check (in signature, certify or report) or a bad option.
+validation errors (a missing, unreadable or non-UTF-8 --input, an --out or
+--plot path that cannot be written, or an Alexander coefficient too long to
+write as decimal text, included), 2 failed internal consistency check (in
+signature, certify or report), any other package error, or a bad option.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import re
 import sys
 from pathlib import Path
 
-from .certify import INVALID_INPUT, certify
 from .corpus import (
     CorpusError,
+    _coefficient_error,
     certificates_to_json,
     certify_rows,
     emit_profile_plot,
@@ -29,9 +33,10 @@ from .corpus import (
 from .errors import (
     CorpusParseError,
     InternalInconsistencyError,
+    KnotCertError,
     UnknownFormatError,
+    ValidationError,
 )
-from .inertia import to_paper_parametrization, transversality_diagnostic
 from .laurent import alexander_poly, isolate_unit_roots, to_z_poly
 
 EXIT_OK = 0
@@ -148,6 +153,11 @@ def _cmd_alexander(rows) -> int:
             status = EXIT_INPUT_ERROR
             continue
         delta = alexander_poly(row.seifert)
+        error = _coefficient_error(delta)
+        if error is not None:
+            _print_row_error(CorpusError(row.row, row.name, error))
+            status = EXIT_INPUT_ERROR
+            continue
         print(f"{row.name}: {delta}")
     return status
 
@@ -182,6 +192,9 @@ def _write_plots(profiles: list[tuple[str, object]], plot_dir: str) -> None:
 def _cmd_signature(
     rows, refine_bits: int, plot: str | None, paper: bool, slopes: bool
 ) -> int:
+    from .certify import certify
+    from .inertia import to_paper_parametrization, transversality_diagnostic
+
     status = EXIT_OK
     profiles = []
     for row in rows:
@@ -216,6 +229,8 @@ def _cmd_signature(
 
 
 def _cmd_certify(rows, refine_bits: int, out: str | None) -> int:
+    from .certify import INVALID_INPUT
+
     certs = certify_rows(rows, refine_bits=refine_bits)
     text = certificates_to_json(certs)
     sys.stdout.write(text)
@@ -229,6 +244,9 @@ def _cmd_certify(rows, refine_bits: int, out: str | None) -> int:
 def _cmd_report(
     rows, refine_bits: int, out: str | None, plot: str | None, paper: bool
 ) -> int:
+    from .certify import INVALID_INPUT
+    from .inertia import to_paper_parametrization
+
     certs = certify_rows(rows, refine_bits=refine_bits)
     sys.stdout.write(emit_report(certs, format="table"))
     if out is not None:
@@ -281,6 +299,12 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_report(rows, args.refine_bits, args.out, args.plot, args.paper_angles)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except KnotCertError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

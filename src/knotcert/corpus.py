@@ -21,16 +21,19 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .certify import Certificate, ConsistencyChecks, _invalid_certificate, certify
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
-from .inertia import JumpReport, SignatureProfile
 from .laurent import SymmetricLaurentPoly, UnitRootWitness
 from .seifert import KnotMetadata, SeifertMatrix, validate
+
+if TYPE_CHECKING:
+    # parsing needs neither layer; the functions that do import them
+    from .certify import Certificate
+    from .inertia import JumpReport, SignatureProfile
 
 FORMATS = ("json", "jsonl", "csv")
 
@@ -43,6 +46,7 @@ class CorpusEntry:
     seifert: SeifertMatrix
     assume_irreducible: bool = True
     assume_m0_prime: bool = False
+    row: int | None = field(default=None, compare=False)  # position in the corpus file
 
     def metadata(self) -> KnotMetadata:
         return KnotMetadata(
@@ -82,7 +86,7 @@ def _entry_from_obj(obj, row: int) -> ParsedRow:
         matrix = validate(seifert, name=name)
     except (ValidationError, TypeError, ValueError) as exc:
         return CorpusError(row, name, f"row {row} ({name}): {exc}")
-    return CorpusEntry(name=name, seifert=matrix, **flags)
+    return CorpusEntry(name=name, seifert=matrix, row=row, **flags)
 
 
 def _parse_json(text: str) -> list[ParsedRow]:
@@ -113,11 +117,25 @@ def _parse_jsonl(text: str) -> list[ParsedRow]:
     return out
 
 
+def _csv_records(text: str):
+    """The CSV records of text, with the csv.Error for a record the reader rejects."""
+    reader = csv.reader(io.StringIO(text))
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+            yield exc
+
+
 def _parse_csv(text: str) -> list[ParsedRow]:
     # columns: name, row-major entries, trailing size column
     out: list[ParsedRow] = []
-    reader = csv.reader(io.StringIO(text))
-    for row, record in enumerate(reader):
+    for row, record in enumerate(_csv_records(text)):
+        if isinstance(record, csv.Error):
+            out.append(CorpusError(row, None, f"bad CSV record: {record}"))
+            continue
         if not record or all(not cell.strip() for cell in record):
             continue
         if row == 0 and len(record) >= 2 and not record[-1].strip().lstrip("-").isdigit():
@@ -225,6 +243,8 @@ def _jump_to_obj(j: JumpReport) -> dict:
 
 
 def _jump_from_obj(obj: dict) -> JumpReport:
+    from .inertia import JumpReport
+
     return JumpReport(
         root=_witness_from_obj(obj["root"]),
         left_value=int(obj["left_value"]),
@@ -274,6 +294,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(obj: dict) -> Certificate:
     """Inverse of certificate_to_dict (the recomputable profile is not carried)."""
+    from .certify import Certificate, ConsistencyChecks
+
     alexander = obj.get("alexander")
     checks = obj.get("consistency_checks")
     meta = obj["assumptions_echoed"]
@@ -325,20 +347,43 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
     """Certify parsed corpus rows in order; error rows become INVALID_INPUT records.
 
     Entries carry the matrix validated at parse time, so none is validated again.
+    An entry whose Alexander coefficients are too long to write (see
+    _coefficient_error) becomes an INVALID_INPUT record too.
     InternalInconsistencyError propagates: it signals a bug in this software,
     not a property of the input.
     """
+    from .certify import _invalid_certificate, certify
+
     out = []
     for row in rows:
         if isinstance(row, CorpusError):
             out.append(
                 _invalid_certificate(KnotMetadata(), row.name or f"row {row.row}", row.message)
             )
-        else:
-            out.append(
-                certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
+            continue
+        cert = certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
+        error = _coefficient_error(cert.alexander)
+        if error is not None:
+            cert = _invalid_certificate(
+                row.metadata(), row.name, f"row {row.row} ({row.name}): {error}"
             )
+        out.append(cert)
     return out
+
+
+def _coefficient_error(delta: SymmetricLaurentPoly) -> str | None:
+    """Why delta cannot be written as decimal text, or None if it can.
+
+    A valid matrix can have Alexander coefficients longer than the
+    interpreter's int-to-str digit limit (4300 digits by default, absent on
+    older Pythons); the limit is found by trying the conversion.
+    """
+    try:
+        for c in delta.coeffs.values():
+            str(c)
+    except ValueError as exc:
+        return f"Alexander coefficient too long to write: {exc}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 import math
@@ -25,7 +26,12 @@ from knotcert.corpus import (
     profile_steps,
     write_corpus,
 )
-from knotcert.errors import CorpusParseError, UnknownFormatError
+from knotcert.errors import (
+    CorpusParseError,
+    RootAtPlusMinusOneError,
+    SampleOnRootError,
+    UnknownFormatError,
+)
 from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, random_corpus
 from knotcert.inertia import signature_profile
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
@@ -565,6 +571,70 @@ def test_cli_signature_fails_closed_on_a_failed_crosscheck(corpus_file, monkeypa
     assert err.startswith("internal inconsistency: consistency checks failed for trefoil")
 
 
+@pytest.mark.parametrize("command", ["signature", "certify", "report"])
+def test_cli_package_error_is_one_line_exit_2(command, corpus_file, monkeypatch, capsys):
+    def boom(matrix, witnesses):
+        raise SampleOnRootError("forced for the exit-code test")
+
+    monkeypatch.setattr(importlib.import_module("knotcert.certify"), "signature_profile", boom)
+    assert main([command, "--input", str(corpus_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: SampleOnRootError: forced for the exit-code test\n"
+
+
+def test_cli_validation_error_from_a_command_is_one_line_exit_1(corpus_file, monkeypatch, capsys):
+    def boom(p_z, refine_bits=32):
+        raise RootAtPlusMinusOneError("forced for the exit-code test")
+
+    monkeypatch.setattr(importlib.import_module("knotcert.cli"), "isolate_unit_roots", boom)
+    assert main(["roots", "--input", str(corpus_file)]) == 1
+    assert capsys.readouterr().err == "error: forced for the exit-code test\n"
+
+
+def _over_long_alexander_corpus(tmp_path) -> Path:
+    # a valid genus-2 row whose entries parse but whose Alexander
+    # coefficients (about 2N digits) pass the int-string digit limit
+    n = int("9" * (_int_digit_limit() * 7 // 10))
+    big = [[n, 1, 0, 0], [0, -1, 0, 0], [0, 0, n, 1], [0, 0, 0, -1]]
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps([TREFOIL_OBJ, {"name": "big", "seifert": big}, TREFOIL_OBJ]))
+    return p
+
+
+def test_cli_over_long_alexander_coefficient_is_a_row_error(tmp_path, capsys):
+    p = _over_long_alexander_corpus(tmp_path)
+    prefix = "row 1 (big): Alexander coefficient too long to write: Exceeds the limit"
+
+    assert main(["validate", "--input", str(p)]) == 0
+    assert main(["roots", "--input", str(p)]) == 0
+    assert main(["signature", "--input", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "OK big: genus 2" in out and "big: 0 unit root(s)" in out
+    assert "big: plateaus [0], sig(-1) = 0" in out
+
+    assert main(["alexander", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == lines[2] == "trefoil: t - 1 + t^-1"
+    assert lines[1].startswith("ERROR " + prefix)
+    assert len(lines) == 3 and captured.err == ""
+
+    out_json = tmp_path / "certs.json"
+    assert main(["certify", "--input", str(p), "--out", str(out_json)]) == 1
+    certs = certificates_from_json(capsys.readouterr().out)
+    assert [c.verdict for c in certs] == [CERTIFIED, INVALID_INPUT, CERTIFIED]
+    assert certs[1].name == "big" and certs[1].error.startswith(prefix)
+    assert certificates_from_json(out_json.read_text()) == certs
+
+    report_json = tmp_path / "report.json"
+    assert main(["report", "--input", str(p), "--out", str(report_json)]) == 1
+    table = capsys.readouterr().out.splitlines()
+    assert table[3].startswith("big ") and table[3].endswith("INVALID_INPUT")
+    rows = json.loads(report_json.read_text())
+    assert [r["verdict"] for r in rows] == [CERTIFIED, INVALID_INPUT, CERTIFIED]
+    assert rows[1]["error"].startswith(prefix)
+
+
 def _int_digit_limit() -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -609,6 +679,19 @@ def test_cli_hostile_jsonl_lines_are_row_errors(tmp_path, capsys):
     assert lines[1].startswith("ERROR row 1 (?): bad JSON line: Exceeds the limit")
     assert lines[2].startswith("ERROR row 2 (?): bad JSON line: maximum recursion depth")
     assert len(lines) == 3 and captured.err == ""
+
+
+def test_cli_csv_record_the_reader_rejects_is_a_row_error(tmp_path, capsys):
+    p = tmp_path / "c.csv"
+    big_cell = "1" * (csv.field_size_limit() + 1)
+    p.write_text(f"trefoil,-1,1,0,-1,2\nbig,{big_cell},1\n5_2,-1,1,0,-2,2\n")
+    rows = parse_corpus(p)
+    assert [type(r) for r in rows] == [CorpusEntry, CorpusError, CorpusEntry]
+    assert rows[1].row == 1 and rows[2].row == 2
+    assert main(["validate", "--input", str(p)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("ERROR row 1 (?): bad CSV record: field larger than field limit")
+    assert len(lines) == 3
 
 
 def test_cli_module_entry_point(corpus_file):

@@ -1,22 +1,130 @@
 from __future__ import annotations
 
-import ast
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import knotcert
+
+SRC = str(Path(knotcert.__file__).resolve().parents[1])
+TREFOIL = [{"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package where this process did."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_all_resolves_and_lists_exactly_the_imported_public_names():
     namespace: dict = {}
     exec("from knotcert import *", namespace)  # raises on a dangling export
     assert all(name in namespace for name in knotcert.__all__)
+    assert set(knotcert.__all__) <= set(dir(knotcert))
     assert len(set(knotcert.__all__)) == len(knotcert.__all__)
 
-    tree = ast.parse(Path(knotcert.__file__).read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+    # the name -> module table is the one list of exports
+    table = knotcert._EXPORTS
+    assert knotcert.__all__ == sorted(table)
+    assert all(not name.startswith("_") for name in table)
+    for name, module in table.items():
+        assert hasattr(importlib.import_module(f"knotcert.{module}"), name), name
+
+
+def test_every_export_is_its_home_module_object():
+    for name in knotcert.__all__:
+        home = importlib.import_module(f"knotcert.{knotcert._EXPORTS[name]}")
+        assert getattr(knotcert, name) is getattr(home, name), name
+        obj = getattr(home, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == home.__name__, name
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        knotcert.no_such_name  # noqa: B018
+
+
+ORDERS = {
+    "names first": "import knotcert as k\nf, g = k.certify, k.inertia\n"
+    "import knotcert.certify, knotcert.inertia\nassert (k.certify, k.inertia) == (f, g)\n",
+    "submodules first": "import importlib\nimportlib.import_module('knotcert.certify')\n"
+    "importlib.import_module('knotcert.inertia')\nimport knotcert as k\n",
+    "from-import after submodules": "import knotcert.inertia, knotcert.certify\n"
+    "from knotcert import certify, inertia\nassert callable(certify) and callable(inertia)\n"
+    "import knotcert as k\n",
+    "certify_rows run first": "import sys\nfrom knotcert.corpus import certify_rows, parse_corpus\n"
+    "assert certify_rows(parse_corpus(sys.argv[1]))[0].verdict == 'CERTIFIED'\n"
+    "import knotcert as k\n",
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_certify_and_inertia_stay_functions(order, tmp_path):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps(TREFOIL))
+    check = (
+        "import importlib, inspect\n"
+        "assert inspect.isfunction(k.certify) and inspect.isfunction(k.inertia)\n"
+        "assert k.certify is importlib.import_module('knotcert.certify').certify\n"
+        "assert k.inertia is importlib.import_module('knotcert.inertia').inertia\n"
+    )
+    proc = _python("-c", ORDERS[order] + check, str(corpus))
+    assert proc.returncode == 0, proc.stderr
+
+
+def _imported_modules(stderr: str) -> set[str]:
+    # -X importtime writes "import time: self | cumulative | [indent]module"
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
     }
-    assert set(knotcert.__all__) == {n for n in imported if not n.startswith("_")}
+
+
+@pytest.mark.parametrize(
+    "command, loads_certify",
+    [
+        ("validate", False),
+        ("alexander", False),
+        ("roots", False),
+        ("signature", True),
+        ("certify", True),
+        ("report", True),
+    ],
+)
+def test_commands_load_only_the_layers_they_run(command, loads_certify, tmp_path):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps(TREFOIL))
+    proc = _python("-X", "importtime", "-m", "knotcert", command, "--input", str(corpus))
+    assert proc.returncode == 0, proc.stderr
+    loaded = _imported_modules(proc.stderr)
+    assert "knotcert.cli" in loaded and "knotcert.laurent" in loaded
+    assert ("knotcert.certify" in loaded) is loads_certify
+    assert ("knotcert.inertia" in loaded) is loads_certify
+
+
+def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps(TREFOIL))
+    code = (
+        "import sys, knotcert\n"
+        "assert sorted(m for m in sys.modules if m.startswith('knotcert')) == ['knotcert']\n"
+        "from knotcert.corpus import parse_corpus\n"
+        "assert parse_corpus(sys.argv[1])[0].name == 'trefoil'\n"
+        "loaded = {'knotcert.certify', 'knotcert.inertia'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = _python("-c", code, str(corpus))
+    assert proc.returncode == 0, proc.stderr
