@@ -1,0 +1,55 @@
+"""Byte-identity gate: the criterion-7 artifacts hash to a committed manifest.
+
+``tests/data/criterion7_sha256.json`` holds the SHA-256 of every file that
+``certify --out`` and ``report --out --plot`` write for
+``random_corpus(50, seed=17)``.  A refactor that changes any byte of the
+certificate JSON, the report JSON or a plot fails here, naming the file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from knotcert.cli import main
+from knotcert.corpus import write_corpus
+from knotcert.fixtures import random_corpus
+
+MANIFEST = Path(__file__).parent / "data" / "criterion7_sha256.json"
+
+
+def artifact_hashes(workdir: Path) -> dict[str, str]:
+    """SHA-256 of each certify/report artifact for the criterion-7 corpus, by relative path."""
+    corpus = workdir / "corpus.json"
+    write_corpus(random_corpus(50, seed=17), corpus, "json")
+    out = workdir / "out"
+    out.mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--input", str(corpus), "--out", str(out / "certificates.json")]) == 0
+        assert (
+            main(
+                [
+                    "report", "--input", str(corpus), "--out", str(out / "report.json"),
+                    "--plot", str(out / "plots"),
+                ]
+            )
+            == 0
+        )
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_criterion_7_artifacts_match_manifest(tmp_path):
+    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    actual = artifact_hashes(tmp_path)
+    assert len(expected) == 2 + 2 * 50
+    differing = sorted(
+        name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name)
+    )
+    assert not differing, f"artifacts differ from the manifest: {differing}"
