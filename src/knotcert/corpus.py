@@ -118,13 +118,14 @@ def _parse_jsonl(text: str) -> list[ParsedRow]:
 
 
 def _csv_records(text: str):
-    """The CSV records of text, with the csv.Error for a record the reader rejects."""
-    reader = csv.reader(io.StringIO(text))
-    while True:
+    """One CSV record per physical line of text, or the csv.Error that rejects it.
+
+    The format has no multi-line fields, so an unbalanced quote is an error
+    in its own record (strict mode) instead of swallowing the lines after it.
+    """
+    for line in io.StringIO(text):
         try:
-            yield next(reader)
-        except StopIteration:
-            return
+            yield next(csv.reader([line], strict=True))
         except csv.Error as exc:  # such as a cell past csv.field_size_limit()
             yield exc
 

@@ -4,9 +4,12 @@ Conventions used throughout:
 
 * Dense integer polynomials are lists of ``int`` coefficients in ascending
   order with no trailing zeros; ``[]`` is the zero polynomial.
-* The Alexander polynomial of a Seifert matrix V of size 2g is computed as
+* The Alexander polynomial of a Seifert matrix V of size 2g is
   Delta(t) = t^(-g) * det(t*V - V^T), which avoids half-integer powers of t
-  and lands in the symmetric Laurent representative with Delta(1) = 1.
+  and lands in the symmetric Laurent representative with Delta(1) = 1.  It
+  is never expanded over Z[t]: its P (below) is interpolated exactly from
+  g+1 integer determinants by ``seifert.det_int``, the package's one
+  determinant routine.
 * A reciprocal Laurent polynomial Delta determines a unique integer
   polynomial P with Delta(t) = P(t + 1/t), via the basis polynomials
   T_k(z) satisfying t^k + t^(-k) = T_k(t + 1/t) (T_0 = 2, T_1 = z,
@@ -40,7 +43,7 @@ from .errors import (
     RootAtPlusMinusOneError,
     ZeroPolynomialError,
 )
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, det_int
 
 IntPoly = list[int]
 
@@ -204,41 +207,6 @@ def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
     while b:
         a, b = b, _frem_primitive(a, b)
     return _primitive(a)
-
-
-# ---------------------------------------------------------------------------
-# Bareiss determinant over Z[t]
-
-
-def det_poly_matrix(m: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant of a matrix of integer polynomials.
-
-    Fraction-free (Bareiss) elimination: every intermediate division is by
-    the previous pivot and is exact in Z[t], so coefficients never leave the
-    integers.
-    """
-    n = len(m)
-    if n == 0:
-        return [1]
-    work = [[list(p) for p in row] for row in m]
-    sign = 1
-    prev: IntPoly = [1]
-    for k in range(n - 1):
-        if not work[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if work[i][k]), None)
-            if pivot_row is None:
-                return []
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _psub(
-                    _pmul(work[k][k], work[i][j]), _pmul(work[i][k], work[k][j])
-                )
-                work[i][j] = _pdivexact(num, prev)
-            work[i][k] = []
-        prev = work[k][k]
-    return _pscale(work[n - 1][n - 1], sign)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +374,29 @@ class UnitRootWitness:
 def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
     """Alexander polynomial Delta(t) = t^(-g) det(t*V - V^T), with Delta(1) = 1.
 
-    The determinant is expanded exactly over Z[t]; the t^(-g) shift recenters
-    the support on [-g, g] and reciprocity then holds identically.
+    det(t*V - V^T) is palindromic of degree 2g, so Delta(t) = P(t + 1/t) for
+    an integer polynomial P of degree at most g.  P is interpolated exactly,
+    in Newton form over ``Fraction``, from its values
+    P(k + 1/k) = det(k*V - V^T) / k^g at the g+1 nodes k = 1, ..., g+1, each
+    an integer determinant, and then expanded back in t.
     """
-    n = v.size
-    g = v.genus
-    m = [
-        [[-v.entries[j][i], v.entries[i][j]] for j in range(n)]
-        for i in range(n)
+    e, n, g = v.entries, v.size, v.genus
+    nodes = [Fraction(k * k + 1, k) for k in range(1, g + 2)]
+    diffs = [
+        Fraction(det_int([[k * e[i][j] - e[j][i] for j in range(n)] for i in range(n)]), k**g)
+        for k in range(1, g + 2)
     ]
-    det = det_poly_matrix([[_trim(p) for p in row] for row in m])
-    coeffs = {k - g: c for k, c in enumerate(det)}
+    # divided differences: after pass j, diffs[i] = P[nodes[i-j], ..., nodes[i]]
+    for j in range(1, g + 1):
+        for i in range(g, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
+    # Newton form to ascending coefficients: p <- diffs[i] + (z - nodes[i]) * p
+    p = [diffs[g]]
+    for i in range(g - 1, -1, -1):
+        x = nodes[i]
+        p = [diffs[i] - x * p[0], *(a - x * b for a, b in zip(p, p[1:])), p[-1]]
+    assert all(a.denominator == 1 for a in p), "interpolated P must have integer coefficients"
+    coeffs = _expand_in_t(ZPoly(int(a) for a in p))
     value_at_one = sum(coeffs.values())
     if value_at_one == -1:
         coeffs = {k: -c for k, c in coeffs.items()}

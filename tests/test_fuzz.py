@@ -1,7 +1,13 @@
-"""Random corpora in all three formats: per-row errors, never a traceback."""
+"""Random corpora in all three formats: per-row errors, never a traceback.
+
+The parsers are fuzzed with random text; validate, certify and report with
+valid matrices that are perturbed, some into invalid rows and some into
+valid ones with entries near 2^64.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -13,6 +19,8 @@ from hypothesis import given, settings
 from knotcert.cli import main
 from knotcert.corpus import CorpusEntry, CorpusError, parse_corpus
 from knotcert.errors import CorpusParseError
+
+from conftest import seifert_matrices
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -99,3 +107,49 @@ def test_fuzz_jsonl_corpus(corpus_dir, text):
 @given(text=csv_texts())
 def test_fuzz_csv_corpus(corpus_dir, text):
     _check(corpus_dir, "csv", text)
+
+
+def test_unbalanced_csv_quote_is_one_row_error(corpus_dir, capsys):
+    # the corpus format has no multi-line fields: the quote must not swallow rows 2-3
+    path = corpus_dir / "quote.csv"
+    path.write_text(
+        'name,e00,e01,e10,e11,size\nbad,"1,1\ntrefoil,-1,1,0,-1,2\nfigure8,1,1,0,-1,2\n',
+        encoding="utf-8",
+    )
+    assert main(["validate", "--input", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ERROR row 1 ")
+    assert lines[1:] == ["OK trefoil: genus 1", "OK figure8: genus 1"]
+
+
+@st.composite
+def perturbed_matrices(draw) -> list[list[int]]:
+    """A valid matrix with one perturbation.
+
+    Adding c to V[i][j] and V[j][i] keeps V - V^T, so the matrix stays valid
+    with entries up to about 2^64; setting one entry usually breaks it.
+    """
+    m = [list(row) for row in draw(seifert_matrices(max_genus=3)).entries]
+    if not m:
+        return m
+    i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+    c = draw(st.integers(-(2**64), 2**64))
+    if draw(st.booleans()):
+        m[i][j] += c
+        if i != j:
+            m[j][i] += c
+    else:
+        m[i][j] = c
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices=st.lists(perturbed_matrices(), min_size=1, max_size=3))
+def test_fuzz_report_on_perturbed_matrices(corpus_dir, matrices):
+    path = corpus_dir / "perturbed.json"
+    rows = [{"name": f"k{i}", "seifert": m} for i, m in enumerate(matrices)]
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    invalid = any(isinstance(r, CorpusError) for r in parse_corpus(path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["report", "--input", str(path), "--out", str(corpus_dir / "report.json")])
+    assert code == (1 if invalid else 0)

@@ -18,10 +18,13 @@ from knotcert.cli import main
 from knotcert.fixtures import (
     FIGURE_EIGHT,
     KNOT_5_2,
+    SEEDS,
     TORUS_2_5,
     TREFOIL,
     UNKNOT,
+    congruent,
     granny_knot,
+    random_unimodular,
 )
 from knotcert.laurent import (
     SymmetricLaurentPoly,
@@ -37,7 +40,7 @@ from knotcert.laurent import (
     sturm_count,
     to_z_poly,
 )
-from knotcert.seifert import block_sum, mirror
+from knotcert.seifert import block_sum, mirror, validate
 
 from conftest import seifert_matrices
 from oracles import distinct_real_roots_float
@@ -225,6 +228,35 @@ def test_alexander_multiplicative_under_block_sum(v1, v2):
 @settings(max_examples=40, deadline=None)
 def test_alexander_mirror_invariant(v):
     assert alexander_poly(mirror(v)) == alexander_poly(v)
+
+
+# --- beyond genus 8: many interpolation nodes, large determinants -----------
+
+
+@pytest.mark.parametrize("k", [*range(1, 16), 30])
+def test_alexander_torus_2_2k_plus_1_closed_form(k):
+    # T(2,2k+1): -1 on the diagonal, 1 above it; Delta alternates +-1 on [-k, k]
+    n = 2 * k
+    v = validate([[-1 if i == j else int(j == i + 1) for j in range(n)] for i in range(n)])
+    expected = {e: (-1) ** (k - abs(e)) for e in range(-k, k + 1)}
+    assert alexander_poly(v) == SymmetricLaurentPoly(expected)
+
+
+@pytest.mark.parametrize("genus", [10, 20])
+def test_alexander_congruence_invariant_on_twisted_block_sums(genus):
+    rng = random.Random(genus)
+    pieces = []
+    while sum(p.genus for p in pieces) < genus:
+        seed = rng.choice([s for s in SEEDS if s.genus <= genus - sum(p.genus for p in pieces)])
+        pieces.append(mirror(seed) if rng.random() < 0.5 else seed)
+    v = pieces[0]
+    product = alexander_poly(pieces[0])
+    for p in pieces[1:]:
+        v = block_sum(v, p)
+        product = product * alexander_poly(p)
+    twisted = congruent(v, random_unimodular(v.size, rng, steps=40))
+    assert max(abs(x) for row in twisted.entries for x in row) > 1
+    assert alexander_poly(twisted) == alexander_poly(v) == product
 
 
 # --- Sturm machinery vs floating oracle --------------------------------------
