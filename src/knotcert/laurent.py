@@ -6,10 +6,9 @@ Conventions used throughout:
   order with no trailing zeros; ``[]`` is the zero polynomial.
 * The Alexander polynomial of a Seifert matrix V of size 2g is
   Delta(t) = t^(-g) * det(t*V - V^T), which avoids half-integer powers of t
-  and lands in the symmetric Laurent representative with Delta(1) = 1.  It
-  is never expanded over Z[t]: its P (below) is interpolated exactly from
-  g+1 integer determinants by ``seifert.det_int``, the package's one
-  determinant routine.
+  and lands in the symmetric Laurent representative with Delta(1) = 1.  Its
+  P (below) is interpolated exactly from g+1 integer determinants by
+  ``seifert.det_int``, the package's one determinant routine.
 * A reciprocal Laurent polynomial Delta determines a unique integer
   polynomial P with Delta(t) = P(t + 1/t), via the basis polynomials
   T_k(z) satisfying t^k + t^(-k) = T_k(t + 1/t) (T_0 = 2, T_1 = z,

@@ -1,8 +1,8 @@
 """Random corpora in all three formats: per-row errors, never a traceback.
 
-The parsers are fuzzed with random text; validate, certify and report with
-valid matrices that are perturbed, some into invalid rows and some into
-valid ones with entries near 2^64.
+The parsers are fuzzed with random text; report, and through it every
+certify stage, with perturbed valid matrices: some become invalid rows and
+some stay valid with entries near 2^64.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -246,14 +248,11 @@ def test_alexander_torus_2_2k_plus_1_closed_form(k):
 def test_alexander_congruence_invariant_on_twisted_block_sums(genus):
     rng = random.Random(genus)
     pieces = []
-    while sum(p.genus for p in pieces) < genus:
-        seed = rng.choice([s for s in SEEDS if s.genus <= genus - sum(p.genus for p in pieces)])
+    while (room := genus - sum(p.genus for p in pieces)) > 0:
+        seed = rng.choice([s for s in SEEDS if s.genus <= room])
         pieces.append(mirror(seed) if rng.random() < 0.5 else seed)
-    v = pieces[0]
-    product = alexander_poly(pieces[0])
-    for p in pieces[1:]:
-        v = block_sum(v, p)
-        product = product * alexander_poly(p)
+    v = functools.reduce(block_sum, pieces)
+    product = functools.reduce(operator.mul, map(alexander_poly, pieces))
     twisted = congruent(v, random_unimodular(v.size, rng, steps=40))
     assert max(abs(x) for row in twisted.entries for x in row) > 1
     assert alexander_poly(twisted) == alexander_poly(v) == product
