@@ -1,9 +1,11 @@
-"""Byte-identity gate: the criterion-7 artifacts hash to a committed manifest.
+"""Byte-identity gate: the criterion-7 artifacts hash to committed manifests.
 
 ``tests/data/criterion7_sha256.json`` holds the SHA-256 of every file that
 ``certify --out`` and ``report --out --plot`` write for
-``random_corpus(50, seed=17)``.  A refactor that changes any byte of the
-certificate JSON, the report JSON or a plot fails here, naming the file.
+``random_corpus(50, seed=17)``, and ``tests/data/paper_angles_sha256.json``
+that of every plot ``report --paper-angles --plot`` writes for the same
+corpus.  A refactor that changes any byte of the certificate JSON, the
+report JSON or a plot fails here, naming the file.
 """
 
 from __future__ import annotations
@@ -19,6 +21,21 @@ from knotcert.corpus import write_corpus
 from knotcert.fixtures import random_corpus
 
 MANIFEST = Path(__file__).parent / "data" / "criterion7_sha256.json"
+PAPER_MANIFEST = Path(__file__).parent / "data" / "paper_angles_sha256.json"
+
+
+def _hashes(out: Path) -> dict[str, str]:
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _differing(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    return sorted(
+        name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name)
+    )
 
 
 def artifact_hashes(workdir: Path) -> dict[str, str]:
@@ -38,18 +55,30 @@ def artifact_hashes(workdir: Path) -> dict[str, str]:
             )
             == 0
         )
-    return {
-        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.rglob("*"))
-        if p.is_file()
-    }
+    return _hashes(out)
+
+
+def paper_angle_plot_hashes(workdir: Path) -> dict[str, str]:
+    """SHA-256 of each ``report --paper-angles --plot`` file for the criterion-7 corpus."""
+    corpus = workdir / "corpus.json"
+    write_corpus(random_corpus(50, seed=17), corpus, "json")
+    out = workdir / "plots"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--input", str(corpus), "--paper-angles", "--plot", str(out)]) == 0
+    return _hashes(out)
 
 
 def test_criterion_7_artifacts_match_manifest(tmp_path):
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
     actual = artifact_hashes(tmp_path)
     assert len(expected) == 2 + 2 * 50
-    differing = sorted(
-        name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name)
-    )
+    differing = _differing(expected, actual)
     assert not differing, f"artifacts differ from the manifest: {differing}"
+
+
+def test_paper_angle_plots_match_manifest(tmp_path):
+    expected = json.loads(PAPER_MANIFEST.read_text(encoding="utf-8"))
+    actual = paper_angle_plot_hashes(tmp_path)
+    assert len(expected) == 2 * 50
+    differing = _differing(expected, actual)
+    assert not differing, f"paper-angle plots differ from the manifest: {differing}"
