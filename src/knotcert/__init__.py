@@ -31,7 +31,7 @@ _EXPORTS = {
         "errors": (
             "CorpusParseError InternalInconsistencyError KnotCertError NonSquareError"
             " NonSymplecticError NormalizationError NotReciprocalError OddSizeError"
-            " RootAtPlusMinusOneError SampleOnRootError UnknownFormatError ValidationError"
+            " RootAtPlusMinusOneError UnknownFormatError ValidationError"
             " ZeroPolynomialError"
         ),
         "inertia": (

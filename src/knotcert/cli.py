@@ -106,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> list:
-    return parse_corpus(args.input, format=args.format)
-
-
 def _plot_name(name: str, used: set[str]) -> str:
     base = re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "entry"
     candidate = base
@@ -119,13 +115,6 @@ def _plot_name(name: str, used: set[str]) -> str:
         k += 1
     used.add(candidate)
     return candidate
-
-
-def _angles_str(witness, halved: bool) -> str:
-    lo, hi = witness.angle_bounds
-    if halved:
-        lo, hi = lo / 2, hi / 2
-    return f"[{float(lo):.6f}, {float(hi):.6f}]"
 
 
 def _print_row_error(row: CorpusError) -> None:
@@ -173,9 +162,10 @@ def _cmd_roots(rows, refine_bits: int) -> int:
         witnesses = isolate_unit_roots(p_z, refine_bits=refine_bits)
         print(f"{row.name}: {len(witnesses)} unit root(s)")
         for w in witnesses:
+            lo, hi = w.angle_bounds
             print(
                 f"  z in ({w.interval[0]}, {w.interval[1]}], multiplicity {w.multiplicity},"
-                f" phi in {_angles_str(w, False)}"
+                f" phi in [{float(lo):.6f}, {float(hi):.6f}]"
             )
     return status
 
@@ -271,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such directory for --out: {Path(out).parent}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        rows = _load(args)
+        rows = parse_corpus(args.input, format=args.format)
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -104,7 +104,9 @@ def _parse_json(text: str) -> list[ParsedRow]:
 def _parse_jsonl(text: str) -> list[ParsedRow]:
     out: list[ParsedRow] = []
     row = 0
-    for line in text.splitlines():
+    # only "\n" ends a record: splitlines() would also break at U+2028,
+    # U+2029 and U+0085, which JSON allows raw inside strings
+    for line in text.split("\n"):
         if not line.strip():
             continue
         try:
@@ -182,7 +184,11 @@ def parse_corpus(path: str | Path, format: str | None = None) -> list[ParsedRow]
 
 
 def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str = "json") -> None:
-    """Serialize entries in any of the supported corpus formats."""
+    """Serialize entries in any of the supported corpus formats.
+
+    Raises ValueError, before writing, for a csv name with a line break: the
+    reader takes one physical line per record and would split it.
+    """
     path = Path(path)
     if format == "json" or format == "jsonl":
         objs = [
@@ -205,6 +211,8 @@ def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str =
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for e in entries:
+            if "\n" in e.name or "\r" in e.name:
+                raise ValueError(f"a CSV name cannot contain a line break: {e.name!r}")
             flat = [x for row in e.seifert.entries for x in row]
             writer.writerow([e.name, *flat, e.seifert.size])
         path.write_text(buf.getvalue(), encoding="utf-8")

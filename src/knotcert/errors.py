@@ -28,7 +28,7 @@ class RootAtPlusMinusOneError(ValidationError):
 
 
 class NormalizationError(KnotCertError):
-    """Alexander polynomial evaluated to something other than +-1 at t = 1."""
+    """Alexander polynomial evaluated to something other than 1 at t = 1."""
 
 
 class NotReciprocalError(KnotCertError):
@@ -37,10 +37,6 @@ class NotReciprocalError(KnotCertError):
 
 class ZeroPolynomialError(KnotCertError):
     """Operation undefined for the zero polynomial."""
-
-
-class SampleOnRootError(KnotCertError):
-    """An arc sample landed on a singular point even after retries."""
 
 
 class InternalInconsistencyError(KnotCertError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInconsistencyError, SampleOnRootError
+from .errors import InternalInconsistencyError
 from .laurent import (
     UnitRootWitness,
     ZPoly,
@@ -50,7 +50,7 @@ from .laurent import (
     _sign_int,
     sturm_chain,
 )
-from .seifert import SeifertMatrix, symmetrized_form
+from .seifert import SeifertMatrix
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,6 @@ class GaussianRational:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -114,10 +111,6 @@ class UnitCirclePoint:
     @staticmethod
     def minus_one() -> "UnitCirclePoint":
         return UnitCirclePoint(None)
-
-    @property
-    def is_minus_one(self) -> bool:
-        return self.u is None
 
     @property
     def omega(self) -> GaussianRational:
@@ -285,9 +278,6 @@ def b_matrix_at(v: SeifertMatrix, point: UnitCirclePoint) -> CMatrix:
     At w = -1 this reduces to the integer matrix 2(V + V^T).
     """
     n = v.size
-    if point.is_minus_one:
-        sym = symmetrized_form(v)
-        return [[GaussianRational(Fraction(2 * sym[i][j])) for j in range(n)] for i in range(n)]
     a = GaussianRational(Fraction(1)) - point.omega
     abar = a.conjugate()
     return [
@@ -360,17 +350,14 @@ def _arc_z_ranges(
     return ranges
 
 
-def signature_profile(
-    v: SeifertMatrix,
-    witnesses: Sequence[UnitRootWitness],
-    max_retries: int = 3,
-) -> SignatureProfile:
+def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) -> SignatureProfile:
     """Evaluate the signature step function of B over the upper semicircle.
 
     ``witnesses`` must come from isolating the roots of the z-form of
     alexander_poly(v) (pairwise disjoint intervals); each open arc between
-    consecutive roots is sampled once at an exact interior point.  Every
-    accepted sample must be nonsingular, the first plateau must be 0, and the
+    consecutive roots is sampled once at an exact interior point.  An arc
+    holds no root of P and z != 2 on it, so det B = (z-2)^g P(z) != 0 there.
+    Every sample must be nonsingular, the first plateau must be 0, and the
     final plateau must agree with the closed-form value at w = -1; violations
     raise, since they are mathematically impossible for consistent inputs.
     """
@@ -379,21 +366,13 @@ def signature_profile(
     samples: list[UnitCirclePoint] = []
     dets: list[Fraction] = []
     for z_lo, z_hi in _arc_z_ranges(by_angle):
-        result = None
-        window = (z_lo, z_hi)
-        for _ in range(max_retries + 1):
-            point = sample_point_in_z_range(*window)
-            p, n, zeros, det = _inertia_and_det(b_matrix_at(v, point))
-            if zeros == 0:
-                result = (point, p - n, det)
-                break
-            # singular sample: shrink the window toward its lower end and retry
-            window = (window[0], point.z)
-        if result is None:
-            raise SampleOnRootError(
-                f"no nonsingular sample found in z range ({z_lo}, {z_hi})"
+        point = sample_point_in_z_range(z_lo, z_hi)
+        p, n, zeros, det = _inertia_and_det(b_matrix_at(v, point))
+        if zeros != 0:
+            raise InternalInconsistencyError(
+                f"singular sample in root-free z range ({z_lo}, {z_hi})"
             )
-        point, sig, det = result
+        sig = p - n
         if sig % 2 != 0:
             raise InternalInconsistencyError("odd plateau signature")
         plateaus.append(sig)
@@ -536,11 +515,10 @@ def transversality_diagnostic(
     v: SeifertMatrix,
     witnesses: Sequence[UnitRootWitness],
     root_index: int,
-    offset_bits: int = 20,
 ) -> SlopeDiagnostic:
     """Finite-difference estimate of the vanishing eigenvalue's slope at a root.
 
-    Samples just outside the isolating interval on both sides (clamped away
+    Samples within 2^-20 of the isolating interval on both sides (clamped away
     from neighboring roots), finds the eigenvalue nearest zero on each side,
     and differences against the sample angles.  Purely informational; no
     verdict consumes it.
@@ -548,7 +526,7 @@ def transversality_diagnostic(
     by_z = sorted(witnesses, key=lambda w: w.interval)
     w = by_z[root_index]
     lo, hi = w.interval
-    delta = Fraction(1, 2**offset_bits)
+    delta = Fraction(1, 2**20)
     below = by_z[root_index - 1].interval[1] if root_index > 0 else Fraction(-2)
     above = by_z[root_index + 1].interval[0] if root_index + 1 < len(by_z) else Fraction(2)
     # angle-left of the root means larger z

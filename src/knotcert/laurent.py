@@ -159,15 +159,12 @@ def _content(a: IntPoly) -> int:
     return g
 
 
-def _primitive(a: IntPoly, positive_lead: bool = True) -> IntPoly:
-    """Divide out the integer content; optionally force a positive leading coefficient."""
+def _primitive(a: IntPoly) -> IntPoly:
+    """Divide out the integer content and force a positive leading coefficient."""
     if not a:
         return []
-    c = _content(a)
-    out = [x // c for x in a]
-    if positive_lead and out[-1] < 0:
-        out = [-x for x in out]
-    return out
+    c = -_content(a) if a[-1] < 0 else _content(a)
+    return [x // c for x in a]
 
 
 def _frem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -318,26 +315,6 @@ class ZPoly:
     def __repr__(self) -> str:
         return f"ZPoly({list(self.coeffs)!r})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            else:
-                power = "z" if k == 1 else f"z^{k}"
-                term = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class UnitRootWitness:
@@ -396,10 +373,9 @@ def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
         p = [diffs[i] - x * p[0], *(a - x * b for a, b in zip(p, p[1:])), p[-1]]
     assert all(a.denominator == 1 for a in p), "interpolated P must have integer coefficients"
     coeffs = _expand_in_t(ZPoly(int(a) for a in p))
+    # Delta(1) = P(2) = det(V - V^T), a Pfaffian squared, so never -1
     value_at_one = sum(coeffs.values())
-    if value_at_one == -1:
-        coeffs = {k: -c for k, c in coeffs.items()}
-    elif value_at_one != 1:
+    if value_at_one != 1:
         raise NormalizationError(
             f"Delta(1) = {value_at_one}; the matrix cannot be a valid Seifert matrix"
         )
@@ -413,11 +389,9 @@ def to_z_poly(delta: SymmetricLaurentPoly) -> ZPoly:
 
     Uses the recursion T_(k+1) = z*T_k - T_(k-1) for t^k + t^(-k); the result
     is re-expanded and compared with Delta coefficient by coefficient, so a
-    returned value is certified exact.
+    returned value is certified exact.  Reciprocity itself is enforced by the
+    SymmetricLaurentPoly constructor.
     """
-    for k, c in delta.coeffs.items():
-        if delta.coeffs.get(-k, 0) != c:
-            raise NotReciprocalError(f"asymmetric coefficient at t^{k}")
     g = delta.max_exponent
     t_prev: IntPoly = [2]
     t_cur: IntPoly = [0, 1]

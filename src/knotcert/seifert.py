@@ -36,10 +36,6 @@ class SeifertMatrix:
     def genus(self) -> int:
         return len(self.entries) // 2
 
-    def __str__(self) -> str:
-        label = self.name or "V"
-        return f"{label}({self.size}x{self.size})"
-
 
 @dataclass(frozen=True)
 class KnotMetadata:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,10 @@ from knotcert.corpus import (
 )
 from knotcert.errors import (
     CorpusParseError,
+    InternalInconsistencyError,
     RootAtPlusMinusOneError,
-    SampleOnRootError,
     UnknownFormatError,
+    ZeroPolynomialError,
 )
 from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, random_corpus
 from knotcert.inertia import signature_profile
@@ -110,6 +112,30 @@ def test_parse_jsonl_bad_line_is_row_error(tmp_path):
     assert isinstance(rows[1], CorpusError)
 
 
+def test_parse_jsonl_keeps_unicode_line_separators_in_strings(tmp_path):
+    # JSON allows these raw inside a string; str.splitlines() would break there
+    p = tmp_path / "c.jsonl"
+    objs = [dict(TREFOIL_OBJ, name=f"a{sep}b") for sep in ("\u2028", "\u2029", "\u0085")]
+    p.write_text("".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs), encoding="utf-8")
+    rows = parse_corpus(p)
+    assert all(isinstance(r, CorpusEntry) for r in rows)
+    assert [(r.row, r.name) for r in rows] == [(i, o["name"]) for i, o in enumerate(objs)]
+
+
+def test_parse_rejects_a_seifert_value_that_is_not_a_matrix(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([{"name": "flat", "seifert": [-1, 1, 0, -1]}, TREFOIL_OBJ]))
+    bad, good = parse_corpus(p)
+    assert bad == CorpusError(0, "flat", "'seifert' must be a matrix (list of lists)")
+    assert isinstance(good, CorpusEntry)
+
+
+def test_parse_rejects_a_non_boolean_flag(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([dict(TREFOIL_OBJ, assume_irreducible="yes")]))
+    assert parse_corpus(p) == [CorpusError(0, "trefoil", "'assume_irreducible' must be a boolean")]
+
+
 def test_parse_csv(tmp_path):
     # name, row-major entries, trailing size column
     p = tmp_path / "c.csv"
@@ -117,6 +143,15 @@ def test_parse_csv(tmp_path):
     rows = parse_corpus(p)
     assert rows[0] == CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))
     assert isinstance(rows[1], CorpusError)
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "two\rlines"])
+def test_write_csv_rejects_a_name_with_a_line_break(tmp_path, name):
+    # the reader takes one physical line per record and would split the name
+    p = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match="line break"):
+        write_corpus([CorpusEntry(name, TREFOIL)], p, "csv")
+    assert not p.exists()
 
 
 def test_write_parse_roundtrip_all_formats(tmp_path):
@@ -484,6 +519,22 @@ def test_cli_rejects_negative_refine_bits(corpus_file, capsys):
     assert "--refine-bits: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
+def test_cli_rejects_non_numeric_refine_bits(corpus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--input", str(corpus_file), "--refine-bits", "many"])
+    assert exc.value.code == 2
+    assert "--refine-bits: must be a non-negative integer, got 'many'" in capsys.readouterr().err
+
+
+def test_cli_plot_names_that_collide_get_numbered_stems(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    names = ["trefoil", "trefoil", "tre foil", "tre_foil"]
+    p.write_text(json.dumps([dict(TREFOIL_OBJ, name=n) for n in names]))
+    assert main(["report", "--input", str(p), "--plot", str(tmp_path / "plots")]) == 0
+    stems = sorted(f.stem for f in (tmp_path / "plots").glob("*.svg"))
+    assert stems == ["tre_foil", "tre_foil_2", "trefoil", "trefoil_2"]
+
+
 def test_cli_rejects_boolean_matrix_entries(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps([{"name": "bools", "seifert": [[True, True], [False, True]]}, TREFOIL_OBJ]))
@@ -574,12 +625,22 @@ def test_cli_signature_fails_closed_on_a_failed_crosscheck(corpus_file, monkeypa
 @pytest.mark.parametrize("command", ["signature", "certify", "report"])
 def test_cli_package_error_is_one_line_exit_2(command, corpus_file, monkeypatch, capsys):
     def boom(matrix, witnesses):
-        raise SampleOnRootError("forced for the exit-code test")
+        raise ZeroPolynomialError("forced for the exit-code test")
 
     monkeypatch.setattr(importlib.import_module("knotcert.certify"), "signature_profile", boom)
     assert main([command, "--input", str(corpus_file)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: SampleOnRootError: forced for the exit-code test\n"
+    assert err == "error: ZeroPolynomialError: forced for the exit-code test\n"
+
+
+def test_singular_arc_sample_is_an_internal_inconsistency(corpus_file, monkeypatch, capsys):
+    # det B = (z-2)^g P(z) is nonzero on a root-free arc; force a zero eigenvalue
+    inertia_mod = importlib.import_module("knotcert.inertia")
+    monkeypatch.setattr(inertia_mod, "_inertia_and_det", lambda h: (0, 0, len(h), Fraction(0)))
+    with pytest.raises(InternalInconsistencyError, match="singular sample"):
+        profile_of(TREFOIL)
+    assert main(["certify", "--input", str(corpus_file)]) == 2
+    assert capsys.readouterr().err.startswith("internal inconsistency: singular sample")
 
 
 def test_cli_validation_error_from_a_command_is_one_line_exit_1(corpus_file, monkeypatch, capsys):

@@ -42,7 +42,7 @@ from knotcert.laurent import (
     sturm_count,
     to_z_poly,
 )
-from knotcert.seifert import block_sum, mirror, validate
+from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
 
 from conftest import seifert_matrices
 from oracles import distinct_real_roots_float
@@ -79,6 +79,14 @@ def test_symmetric_laurent_rejects_asymmetry():
 def test_symmetric_laurent_rejects_bad_normalization():
     with pytest.raises(NormalizationError):
         SymmetricLaurentPoly({1: 1, 0: 1, -1: 1})
+
+
+def test_alexander_rejects_an_unvalidated_matrix_with_det_4():
+    # det(V - V^T) = 4, which validate() would have refused; Delta(1) = 4
+    v = SeifertMatrix(entries=((0, 2), (0, 0)))
+    with pytest.raises(NormalizationError) as exc:
+        alexander_poly(v)
+    assert str(exc.value) == "Delta(1) = 4; the matrix cannot be a valid Seifert matrix"
 
 
 # --- z-reduction ------------------------------------------------------------
