@@ -548,7 +548,6 @@ def test_cli_rejects_boolean_matrix_entries(tmp_path, capsys):
 
 def test_cli_internal_inconsistency_exit_code(corpus_file, monkeypatch):
     import knotcert.cli as cli_mod
-    from knotcert.errors import InternalInconsistencyError
 
     def boom(rows, refine_bits=32):
         raise InternalInconsistencyError("forced for the exit-code test")
