@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from knotcert.corpus import write_corpus
+from knotcert.corpus import FORMATS, write_corpus
 from knotcert.fixtures import random_corpus
 
 
@@ -20,7 +20,7 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-genus", type=int, default=3)
-    parser.add_argument("--format", choices=("json", "jsonl", "csv"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    FORMATS,
     CorpusError,
     _coefficient_error,
     certificates_to_json,
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="corpus file (json, jsonl, or csv)")
     common.add_argument(
-        "--format", choices=("json", "jsonl", "csv"), default=None,
+        "--format", choices=FORMATS, default=None,
         help="corpus format; inferred from the file suffix when omitted",
     )
     common.add_argument(

@@ -186,8 +186,11 @@ def parse_corpus(path: str | Path, format: str | None = None) -> list[ParsedRow]
 def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str = "json") -> None:
     """Serialize entries in any of the supported corpus formats.
 
-    Raises ValueError, before writing, for a csv name with a line break: the
-    reader takes one physical line per record and would split it.
+    Raises ValueError, before writing, for a csv entry the reader would read
+    back differently: a name with a line break (the reader takes one physical
+    line per record), a name with leading or trailing whitespace (the reader
+    strips it), or a non-default assume_irreducible or assume_m0_prime (the
+    format has no column for them).
     """
     path = Path(path)
     if format == "json" or format == "jsonl":
@@ -213,6 +216,10 @@ def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str =
         for e in entries:
             if "\n" in e.name or "\r" in e.name:
                 raise ValueError(f"a CSV name cannot contain a line break: {e.name!r}")
+            if e.name != e.name.strip():
+                raise ValueError(f"a CSV name cannot start or end with whitespace: {e.name!r}")
+            if not e.assume_irreducible or e.assume_m0_prime:
+                raise ValueError(f"CSV has no flag columns; {e.name!r} has non-default flags")
             flat = [x for row in e.seifert.entries for x in row]
             writer.writerow([e.name, *flat, e.seifert.size])
         path.write_text(buf.getvalue(), encoding="utf-8")

@@ -9,7 +9,7 @@ is evaluable at any Gaussian-rational circle point.
 Sampling points are taken in tan-half-angle form
 w = ((1-u^2) + 2u*i)/(1+u^2) with u rational and positive, which sweeps the
 open upper semicircle (phi in (0, pi)) through Gaussian-rational points; the
-point w = -1 (phi = pi) is handled separately via B(-1) = 2(V + V^T).
+endpoint w = -1 (phi = pi) is the integer matrix B(-1) = 2(V + V^T).
 Inertia of a Hermitian Gaussian-rational matrix is read off exactly from its
 characteristic polynomial: a Hermitian characteristic polynomial is
 real-rooted, so Descartes' rule counts positive and negative eigenvalues
@@ -38,19 +38,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalInconsistencyError
-from .laurent import (
-    UnitRootWitness,
-    ZPoly,
-    _halve,
-    _isolate_squarefree,
-    _pderiv,
-    _pdivexact,
-    _pgcd,
-    _primitive,
-    _sign_int,
-    sturm_chain,
-)
-from .seifert import SeifertMatrix
+from .laurent import UnitRootWitness, ZPoly, isolate_unit_roots
+from .seifert import SeifertMatrix, symmetrized_form
 
 
 @dataclass(frozen=True)
@@ -96,39 +85,31 @@ CMatrix = list[list[GaussianRational]]
 
 @dataclass(frozen=True)
 class UnitCirclePoint:
-    """A Gaussian-rational point on the open upper unit semicircle, or w = -1.
+    """A Gaussian-rational point w = e^(i phi) on the open upper unit semicircle.
 
-    ``u`` is the tan-half-angle parameter (u = tan(phi/2) > 0); ``u = None``
-    encodes the distinguished point w = -1.
+    ``u`` is the tan-half-angle parameter u = tan(phi/2) > 0, so phi lies in
+    (0, pi); the endpoint w = -1 is not a point of this type.
     """
 
-    u: Fraction | None
+    u: Fraction
 
     def __post_init__(self):
-        if self.u is not None and self.u <= 0:
+        if self.u <= 0:
             raise ValueError("tan-half-angle parameter must be positive")
-
-    @staticmethod
-    def minus_one() -> "UnitCirclePoint":
-        return UnitCirclePoint(None)
 
     @property
     def omega(self) -> GaussianRational:
-        if self.u is None:
-            return GaussianRational(Fraction(-1))
         d = 1 + self.u * self.u
         return GaussianRational((1 - self.u * self.u) / d, 2 * self.u / d)
 
     @property
     def z(self) -> Fraction:
         """z = w + conj(w) = 2 cos(phi)."""
-        if self.u is None:
-            return Fraction(-2)
         return 2 * (1 - self.u * self.u) / (1 + self.u * self.u)
 
     @property
     def angle(self) -> float:
-        return math.pi if self.u is None else 2.0 * math.atan(float(self.u))
+        return 2.0 * math.atan(float(self.u))
 
 
 @dataclass(frozen=True)
@@ -256,8 +237,7 @@ def inertia(h) -> tuple[int, int, int]:
     cm = _to_cmatrix(h)
     if not _is_hermitian(cm):
         raise ValueError("inertia requires a Hermitian matrix")
-    p, n, z = _inertia_from_char_poly(char_poly(cm))
-    return p, n, z
+    return _inertia_and_det(cm)[:3]
 
 
 def _inertia_and_det(h: CMatrix) -> tuple[int, int, int, Fraction]:
@@ -273,10 +253,7 @@ def _inertia_and_det(h: CMatrix) -> tuple[int, int, int, Fraction]:
 
 
 def b_matrix_at(v: SeifertMatrix, point: UnitCirclePoint) -> CMatrix:
-    """B(w) = (1-w)V + (1-conj(w))V^T at a Gaussian-rational circle point.
-
-    At w = -1 this reduces to the integer matrix 2(V + V^T).
-    """
+    """B(w) = (1-w)V + (1-conj(w))V^T at a Gaussian-rational circle point."""
     n = v.size
     a = GaussianRational(Fraction(1)) - point.omega
     abar = a.conjugate()
@@ -384,7 +361,8 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
             f"signature near w = 1 is {plateaus[0]}, expected 0"
         )
 
-    p, n, zeros, det_m1 = _inertia_and_det(b_matrix_at(v, UnitCirclePoint.minus_one()))
+    b_minus_one = _to_cmatrix([[2 * x for x in row] for row in symmetrized_form(v)])
+    p, n, zeros, det_m1 = _inertia_and_det(b_minus_one)
     if zeros != 0:
         raise InternalInconsistencyError("B(-1) singular; Delta(-1) must be odd")
     if p - n != plateaus[-1]:
@@ -485,30 +463,23 @@ class SlopeDiagnostic:
 def _eigenvalue_nearest_zero(h: CMatrix) -> float:
     """Smallest-magnitude eigenvalue of a nonsingular Hermitian matrix.
 
-    Exact route: integer-scale the characteristic polynomial, take its
-    square-free part, Sturm-isolate every eigenvalue, refine the interval
-    nearest zero, and only then round to float.
+    The characteristic polynomial is scaled to integers and its variable to
+    z = x / 2^(e-1), with 2^e above the Cauchy bound, so every eigenvalue x
+    has z strictly inside (-2, 2).  The package's one Sturm isolator,
+    ``isolate_unit_roots``, then encloses each eigenvalue to width 2^-80 in
+    x, and the midpoint of the enclosure nearest zero is rounded to float.
     """
     coeffs = char_poly(h)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ip = _primitive([int(c * den) for c in coeffs])
-    radical = _pdivexact(ip, _pgcd(ip, _pderiv(ip)))
-    chain = sturm_chain(radical)
-    bound = 1 + Fraction(max(abs(c) for c in radical), abs(radical[-1]))
-    k, q = bound.numerator, bound.denominator
-    resolved = []
-    for ka, kb, d in _isolate_squarefree(chain, -k, k, q):
-        s_b = _sign_int(radical, kb, d)
-        # narrow to width 2^-48 before comparing distances, else a wide
-        # interval whose endpoint grazes zero shadows the nearest eigenvalue
-        wide = (kb - ka) << 48
-        while ka < 0 < kb or wide > d:
-            ka, kb, d, s_b = _halve(radical, ka, kb, d, s_b)
-        resolved.append((ka, kb, d))
-    ka, kb, d = min(resolved, key=lambda iv: Fraction(min(abs(iv[0]), abs(iv[1])), iv[2]))
-    return (ka + kb) / (2 * d)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    # |x| < 1 + max|c_i| / c_n <= 2 + max|c_i| // c_n < 2^e
+    e = (2 + max(map(abs, ints)) // ints[-1]).bit_length()
+    scaled = ZPoly(c << (i * (e - 1)) for i, c in enumerate(ints))
+    roots = isolate_unit_roots(scaled, refine_bits=79 + e)
+    # a spectrum symmetric about 0, as for K # mirror(K), ties: take the positive one
+    nearest = min(roots, key=lambda w: (abs(w.z_mid), -w.z_mid))
+    lo, hi = nearest.interval
+    return float((lo + hi) * 2 ** (e - 2))
 
 
 def transversality_diagnostic(

@@ -154,6 +154,26 @@ def test_write_csv_rejects_a_name_with_a_line_break(tmp_path, name):
     assert not p.exists()
 
 
+@pytest.mark.parametrize(
+    "name, flags, match",
+    [
+        # the reader strips the name cell, so " padded " would come back "padded"
+        (" padded ", {}, "whitespace"),
+        ("padded ", {}, "whitespace"),
+        ("\tpadded", {}, "whitespace"),
+        # no flag columns: a trefoil written with assume_irreducible=False
+        # would read back CERTIFIED instead of NOT_APPLICABLE
+        ("trefoil", {"assume_irreducible": False}, "flag"),
+        ("trefoil", {"assume_m0_prime": True}, "flag"),
+    ],
+)
+def test_write_csv_rejects_an_entry_it_would_read_back_differently(tmp_path, name, flags, match):
+    p = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match=match):
+        write_corpus([CorpusEntry(name, TREFOIL, **flags)], p, "csv")
+    assert not p.exists()
+
+
 def test_write_parse_roundtrip_all_formats(tmp_path):
     entries = random_corpus(6, seed=2)
     for fmt in ("json", "jsonl", "csv"):
@@ -495,6 +515,17 @@ def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, caps
     assert out.count("slope ~ ") == 5
     assert out == (DATA / "slope_diagnostics_golden.txt").read_text(encoding="utf-8")
     assert seen == {(int, int, True)}
+
+
+def test_cli_slope_diagnostics_digits_are_exact(tmp_path, capsys):
+    # T(2,5)#5_2 sheared: the root-2 left eigenvalue is 1.3182750113e-07; a
+    # 2^-48 enclosure is too wide for its sixth digit (one such midpoint,
+    # 1.3182749998e-07, prints +1.31827e-07)
+    p = tmp_path / "c.json"
+    write_corpus([random_corpus(60, seed=5)[30]], p, "json")
+    assert main(["signature", "--input", str(p), "--slope-diagnostics"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("  root 2: eigenvalue +1.31828e-07 -> ")
 
 
 @pytest.mark.parametrize(

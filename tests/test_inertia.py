@@ -32,7 +32,7 @@ from knotcert.inertia import (
     transversality_diagnostic,
 )
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
-from knotcert.seifert import SeifertMatrix, mirror, symmetrized_form
+from knotcert.seifert import SeifertMatrix, det_int, mirror, symmetrized_form
 
 from conftest import seifert_matrices
 from oracles import inertia_float, signature_float
@@ -67,17 +67,6 @@ def test_b_matrix_at_i_is_closed_form():
     assert b[0][0] == GaussianRational(Fraction(-2))
     assert b[0][1] == GaussianRational(Fraction(1), Fraction(-1))
     assert b[1][0] == GaussianRational(Fraction(1), Fraction(1))
-
-
-def test_b_matrix_at_minus_one_is_doubled_symmetrization():
-    b = b_matrix_at(TREFOIL, UnitCirclePoint.minus_one())
-    sym = symmetrized_form(TREFOIL)
-    assert all(
-        b[i][j] == GaussianRational(Fraction(2 * sym[i][j]))
-        for i in range(2)
-        for j in range(2)
-    )
-    assert [[x.re for x in row] for row in b] == [[-4, 2], [2, -4]]
 
 
 def test_b_matrix_empty():
@@ -282,6 +271,8 @@ def test_profile_invariants(v):
     sym_p, sym_n, sym_z = inertia(symmetrized_form(v))
     assert sym_z == 0
     assert profile.value_at_minus_one == sym_p - sym_n
+    # B(-1) = 2(V + V^T), against the package's independent integer determinant
+    assert profile.det_at_minus_one == 4**v.genus * det_int(symmetrized_form(v))
     assert profile.jump_angles == tuple(sorted(ws, key=lambda w: w.interval, reverse=True))
     for report in jump_reports(profile):
         assert abs(report.jump) <= 2 * report.root.multiplicity
@@ -401,3 +392,11 @@ def test_transversality_diagnostic_interior_root_of_torus_2_5():
         diag = transversality_diagnostic(TORUS_2_5, ws, idx)
         assert diag.left_eigenvalue > 0 > diag.right_eigenvalue
         assert diag.left_angle < diag.right_angle
+
+
+def test_transversality_diagnostic_symmetric_spectrum_takes_the_positive_eigenvalue():
+    # B of K # mirror(K) has a spectrum symmetric about 0, so +-lambda tie
+    v = square_knot()
+    (w,) = isolate_unit_roots(to_z_poly(alexander_poly(v)))
+    diag = transversality_diagnostic(v, [w], 0)
+    assert diag.left_eigenvalue > 0 and diag.right_eigenvalue > 0
