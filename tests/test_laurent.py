@@ -17,16 +17,20 @@ from knotcert.errors import (
     ZeroPolynomialError,
 )
 from knotcert.cli import main
+from knotcert.corpus import CorpusEntry, write_corpus
 from knotcert.fixtures import (
     FIGURE_EIGHT,
     KNOT_5_2,
     SEEDS,
     TORUS_2_5,
+    TORUS_2_7,
     TREFOIL,
     UNKNOT,
     congruent,
     granny_knot,
+    random_corpus,
     random_unimodular,
+    square_knot,
 )
 from knotcert.laurent import (
     SymmetricLaurentPoly,
@@ -447,3 +451,30 @@ def test_roots_refine_320_matches_golden(capsys):
     # factor must pick the same half at every one of the 320 steps
     assert main(["roots", "--input", str(DATA / "roots_golden.json"), "--refine-bits", "320"]) == 0
     assert capsys.readouterr().out == (DATA / "roots_golden_320.txt").read_text()
+
+
+def _lowbits_corpus() -> list[CorpusEntry]:
+    granny = granny_knot()
+    named = {
+        "granny": granny,
+        "square": square_knot(),
+        "T(2,5)#granny": block_sum(TORUS_2_5, granny),
+        "T(2,7)#T(2,7)": block_sum(TORUS_2_7, TORUS_2_7),
+        "T(2,5)#T(2,5)#trefoil": block_sum(block_sum(TORUS_2_5, TORUS_2_5), TREFOIL),
+        "granny#trefoil": block_sum(granny, TREFOIL),  # (z - 1)^3
+        "granny#mirror(granny)": block_sum(granny, mirror(granny)),  # (z - 1)^4
+    }
+    return [CorpusEntry(name=k, seifert=v) for k, v in named.items()] + random_corpus(60, seed=5)
+
+
+def test_roots_low_refine_bits_match_golden(tmp_path, capsys):
+    # at 0 and 2 bits root separation, not refine_bits, sets most intervals
+    # (fixture_000 gets (23/16, 3/2] at 0 bits); the golden is the stdout of
+    # --refine-bits 0 followed by that of --refine-bits 2
+    corpus = tmp_path / "lowbits.json"
+    write_corpus(_lowbits_corpus(), corpus, "json")
+    out = []
+    for bits in ("0", "2"):
+        assert main(["roots", "--input", str(corpus), "--refine-bits", bits]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (DATA / "roots_lowbits_golden.txt").read_text(encoding="utf-8")
