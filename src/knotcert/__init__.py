@@ -41,7 +41,7 @@ _EXPORTS = {
         ),
         "laurent": (
             "SymmetricLaurentPoly UnitRootWitness ZPoly alexander_poly isolate_unit_roots"
-            " squarefree_decompose to_z_poly"
+            " to_z_poly"
         ),
         "seifert": "KnotMetadata SeifertMatrix block_sum mirror symmetrized_form validate",
     }.items()

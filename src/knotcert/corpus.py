@@ -175,7 +175,8 @@ def parse_corpus(path: str | Path, format: str | None = None) -> list[ParsedRow]
         format = path.suffix.lstrip(".").lower()
     if format not in FORMATS:
         raise UnknownFormatError(f"unknown corpus format {format!r}; expected one of {FORMATS}")
-    text = path.read_text(encoding="utf-8")
+    # utf-8-sig drops the byte-order mark that Excel writes at the start
+    text = path.read_text(encoding="utf-8-sig")
     if format == "json":
         return _parse_json(text)
     if format == "jsonl":

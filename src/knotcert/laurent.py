@@ -10,21 +10,22 @@ Conventions used throughout:
   P (below) is interpolated exactly from g+1 integer determinants by
   ``seifert.det_int``, the package's one determinant routine.
 * A reciprocal Laurent polynomial Delta determines a unique integer
-  polynomial P with Delta(t) = P(t + 1/t), via the basis polynomials
-  T_k(z) satisfying t^k + t^(-k) = T_k(t + 1/t) (T_0 = 2, T_1 = z,
-  T_(k+1) = z*T_k - T_(k-1)).  Roots of Delta on the unit circle t = e^(i phi)
-  correspond to real roots z = 2 cos(phi) of P in (-2, 2), with equal
-  multiplicity.
+  polynomial P with Delta(t) = P(t + 1/t), since (t + 1/t)^k has top term
+  t^k; ``to_z_poly`` peels it off from the top.  Roots of Delta on the unit
+  circle t = e^(i phi) correspond to real roots z = 2 cos(phi) of P in
+  (-2, 2), with equal multiplicity.
 * Root isolation is exact and integer-only.  An interval is carried as two
   integer numerators over one positive denominator, (ka/d, kb/d]; halving
   it doubles ka, kb and d and looks only at the midpoint (ka+kb)/(2d).
   Every sign is read off by integer Horner at a point k/d (``_sign_int``).
-  Sturm sequences count the roots in a bisection; an interval that holds
-  one root of a square-free factor is then refined by the sign of that
-  factor alone, carrying its sign at the right end (``_halve``).  A
-  ``Fraction`` is built only for a finished ``UnitRootWitness`` and for the
-  public ``sturm_count``.  Isolating intervals are half-open (lo, hi], so a
-  dyadic root hit by bisection sits at the right endpoint.
+  One Sturm chain, of the square-free part P / gcd(P, P'), counts the roots
+  in a bisection; multiplicities come from the chain of gcds with the
+  derivative.  An interval that holds one root of a square-free polynomial
+  is then refined by the sign of that polynomial alone, carrying its sign
+  at the right end (``_halve``).  A ``Fraction`` is built only for a
+  finished ``UnitRootWitness`` and for the public ``sturm_count``.
+  Isolating intervals are half-open (lo, hi], so a dyadic root hit by
+  bisection sits at the right endpoint.
 """
 
 from __future__ import annotations
@@ -56,40 +57,8 @@ def _trim(c: IntPoly) -> IntPoly:
     return c
 
 
-def _padd(a: IntPoly, b: IntPoly) -> IntPoly:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
-
-
 def _pneg(a: IntPoly) -> IntPoly:
     return [-x for x in a]
-
-
-def _psub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return _padd(a, _pneg(b))
-
-
-def _pmul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _pscale(a: IntPoly, s: int) -> IntPoly:
-    if s == 0:
-        return []
-    return [s * x for x in a]
 
 
 def _pdivexact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -387,26 +356,22 @@ def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
 def to_z_poly(delta: SymmetricLaurentPoly) -> ZPoly:
     """Rewrite a reciprocal Laurent polynomial as P with Delta(t) = P(t + 1/t).
 
-    Uses the recursion T_(k+1) = z*T_k - T_(k-1) for t^k + t^(-k); the result
-    is re-expanded and compared with Delta coefficient by coefficient, so a
-    returned value is certified exact.  Reciprocity itself is enforced by the
+    Peels P from the top: for k = g down to 0, p_k is the t^k coefficient of
+    what is left, and p_k * (t + 1/t)^k = p_k * sum_j C(k, j) t^(k - 2j) is
+    subtracted.  What is left at the end is Delta - P(t + 1/t), so a returned
+    value is certified exact.  Reciprocity itself is enforced by the
     SymmetricLaurentPoly constructor.
     """
-    g = delta.max_exponent
-    t_prev: IntPoly = [2]
-    t_cur: IntPoly = [0, 1]
-    p: IntPoly = [delta.coefficient(0)]
-    for k in range(1, g + 1):
-        c = delta.coefficient(k)
+    rest = dict(delta.coeffs)
+    p = [0] * (delta.max_exponent + 1)
+    for k in range(delta.max_exponent, -1, -1):
+        c = p[k] = rest.get(k, 0)
         if c:
-            p = _padd(p, _pscale(t_cur, c))
-        if k < g:
-            t_prev, t_cur = t_cur, _psub(_pmul([0, 1], t_cur), t_prev)
-    result = ZPoly(p)
-    expanded = _expand_in_t(result)
-    if expanded != dict(delta.coeffs):
+            for j in range(k + 1):
+                rest[k - 2 * j] = rest.get(k - 2 * j, 0) - c * math.comb(k, j)
+    if any(rest.values()):
         raise NotReciprocalError("round-trip expansion failed to reproduce the input")
-    return result
+    return ZPoly(p)
 
 
 def _expand_in_t(p: ZPoly) -> dict[int, int]:
@@ -420,39 +385,6 @@ def _expand_in_t(p: ZPoly) -> dict[int, int]:
         nxt[0] = nxt.get(0, 0) + c
         acc = {k: v for k, v in nxt.items() if v != 0}
     return acc
-
-
-# ---------------------------------------------------------------------------
-# square-free decomposition (Yun)
-
-
-def squarefree_decompose(p: ZPoly) -> list[tuple[ZPoly, int]]:
-    """Yun's square-free decomposition over the rationals.
-
-    Returns primitive integer factors with positive leading coefficient;
-    the product of factor^multiplicity equals P up to a rational unit.
-    Constant input decomposes into no factors.
-    """
-    if p.is_zero():
-        raise ZeroPolynomialError("cannot decompose the zero polynomial")
-    f = _primitive(list(p.coeffs))
-    if len(f) <= 1:
-        return []
-    fp = _pderiv(f)
-    g = _pgcd(f, fp)
-    c = _pdivexact(f, g)
-    d = _psub(_pdivexact(fp, g), _pderiv(c))
-    out: list[tuple[ZPoly, int]] = []
-    i = 1
-    while len(c) > 1:
-        h = _pgcd(c, d)
-        if len(h) > 1:
-            out.append((ZPoly(h), i))
-        c_next = _pdivexact(c, h)
-        d = _psub(_pdivexact(d, h), _pderiv(c_next))
-        c = c_next
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +421,8 @@ def _isolate_squarefree(chain: Sequence[IntPoly], ka: int, kb: int, d: int):
     """Bisect (ka/d, kb/d] into half-open intervals (ka'/d', kb'/d'] with one root each.
 
     Each stack entry carries the variation counts at its endpoints, so every
-    bisection point is evaluated once although two children share it.
+    bisection point is evaluated once although two children share it.  The
+    right half is pushed first, so the intervals come out in ascending order.
     """
     stack = [(ka, _variations(chain, ka, d), kb, _variations(chain, kb, d), d)]
     out = []
@@ -503,8 +436,8 @@ def _isolate_squarefree(chain: Sequence[IntPoly], ka: int, kb: int, d: int):
             continue
         m = a + b
         v_m = _variations(chain, m, 2 * d)
-        stack.append((2 * a, v_a, m, v_m, 2 * d))
         stack.append((m, v_m, 2 * b, v_b, 2 * d))
+        stack.append((2 * a, v_a, m, v_m, 2 * d))
     return out
 
 
@@ -545,11 +478,14 @@ def _angle_bounds(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]:
     """Isolate all roots of P in the open interval (-2, 2), with multiplicities.
 
-    Each square-free factor from Yun's decomposition is isolated with its own
-    Sturm chain; intervals are then refined until (a) each contains exactly
-    one root of the full square-free part, (b) they are pairwise disjoint
-    with positive gaps, (c) they lie strictly inside (-2, 2), and (d) each is
-    no wider than 2^-refine_bits.  Witnesses are sorted by z ascending.
+    With g_0 = P and g_(i+1) = gcd(g_i, g_i'), r_i = g_i / g_(i+1) is
+    square-free and vanishes exactly at the roots of multiplicity > i.  The
+    roots of r_0 = P / gcd(P, P') are isolated with one Sturm chain, and the
+    intervals are halved on r_0 until they are pairwise disjoint with
+    positive gaps.  A root's multiplicity is then the number of r_i that
+    change sign or vanish over its interval.  Each interval is refined by
+    halving on r_(m-1) until it lies strictly inside (-2, 2) and is no wider
+    than 2^-refine_bits.  Witnesses are sorted by z ascending.
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -557,41 +493,38 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
         raise RootAtPlusMinusOneError(
             "P vanishes at z = +-2 (t = +-1); not a knot Alexander polynomial"
         )
-    factors = squarefree_decompose(p)
-    if not factors:
+    radicals: list[IntPoly] = []  # r_0, r_1, ...
+    g = _primitive(list(p.coeffs))
+    while len(g) > 1:
+        g_next = _pgcd(g, _pderiv(g))
+        radicals.append(_pdivexact(g, g_next))
+        g = g_next
+    if not radicals:
         return []
-    radical: IntPoly = [1]
-    for f, _ in factors:
-        radical = _pmul(radical, list(f.coeffs))
-    radical_chain = sturm_chain(_primitive(radical))
+    r0 = radicals[0]
+    # [ka, kb, d, sign of r0 at kb/d] for (ka/d, kb/d], in ascending order
+    cells = [
+        [ka, kb, d, _sign_int(r0, kb, d)]
+        for ka, kb, d in _isolate_squarefree(sturm_chain(r0), -2, 2, 1)
+    ]
 
-    # [ka, kb, d, sign of f at kb/d, multiplicity, f] for (ka/d, kb/d]
-    pending: list[list] = []
-    for factor, mult in factors:
-        f = list(factor.coeffs)
-        chain = sturm_chain(f)
-        for ka, kb, d in _isolate_squarefree(chain, -2, 2, 1):
-            s_b = _sign_int(f, kb, d)
-            # shrink until no other factor's root shares the interval
-            while sturm_count(radical_chain, Fraction(ka, d), Fraction(kb, d)) > 1:
-                ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
-            pending.append([ka, kb, d, s_b, mult, f])
-
-    # pairwise disjoint with positive gaps (sorted by root order once disjoint)
-    while True:
-        common = math.lcm(*(w[2] for w in pending))
-        pending.sort(key=lambda w: (w[0] * (common // w[2]), w[1] * (common // w[2])))
+    # pairwise disjoint with positive gaps; halving keeps the order
+    clean = False
+    while not clean:
         clean = True
-        for w1, w2 in zip(pending, pending[1:]):
+        for w1, w2 in zip(cells, cells[1:]):
             if w1[1] * w2[2] >= w2[0] * w1[2]:
-                w1[:4] = _halve(w1[5], *w1[:4])
-                w2[:4] = _halve(w2[5], *w2[:4])
+                w1[:] = _halve(r0, *w1)
+                w2[:] = _halve(r0, *w2)
                 clean = False
-        if clean:
-            break
 
     out = []
-    for ka, kb, d, s_b, mult, f in pending:
+    for ka, kb, d, _ in cells:
+        # no root of P sits at ka/d now, so r_i changes sign over the cell or
+        # vanishes at kb/d exactly when the root has multiplicity > i
+        mult = sum(1 for r in radicals if _sign_int(r, ka, d) * _sign_int(r, kb, d) <= 0)
+        f = radicals[mult - 1]
+        s_b = _sign_int(f, kb, d)
         # the width (kb - ka)/d halves with each step because kb - ka is kept
         wide = (kb - ka) << refine_bits
         while wide > d or ka <= -2 * d or kb >= 2 * d:
@@ -602,5 +535,4 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
                 interval=(lo, hi), multiplicity=mult, angle_bounds=_angle_bounds(lo, hi)
             )
         )
-    out.sort(key=lambda w: w.interval)
     return out

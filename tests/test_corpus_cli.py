@@ -145,6 +145,23 @@ def test_parse_csv(tmp_path):
     assert isinstance(rows[1], CorpusError)
 
 
+@pytest.mark.parametrize(
+    "suffix, text",
+    [
+        ("json", json.dumps([TREFOIL_OBJ])),
+        ("jsonl", json.dumps(TREFOIL_OBJ) + "\n"),
+        ("csv", "trefoil,-1,1,0,-1,2\n"),
+    ],
+    ids=["json", "jsonl", "csv"],
+)
+def test_parse_skips_a_leading_byte_order_mark(tmp_path, suffix, text):
+    # Excel writes a UTF-8 byte-order mark at the start of a CSV; read as
+    # text it would be part of the first record
+    p = tmp_path / f"c.{suffix}"
+    p.write_text("\ufeff" + text, encoding="utf-8")
+    assert parse_corpus(p) == [CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))]
+
+
 @pytest.mark.parametrize("name", ["two\nlines", "two\rlines"])
 def test_write_csv_rejects_a_name_with_a_line_break(tmp_path, name):
     # the reader takes one physical line per record and would split the name
@@ -621,7 +638,7 @@ def test_report_runs_each_stage_once_per_valid_entry(tmp_path, monkeypatch, caps
             ]
         )
     )
-    stages = ["laurent.alexander_poly", "laurent.to_z_poly", "laurent.squarefree_decompose"]
+    stages = ["laurent.alexander_poly", "laurent.to_z_poly", "laurent.isolate_unit_roots"]
     counts = _spy(monkeypatch, ["seifert.validate", "certify.certify", *stages])
     assert main(["report", "--input", str(p)]) == 1
     # the odd-size row is rejected by its one validate call, at parse time

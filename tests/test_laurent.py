@@ -37,11 +37,13 @@ from knotcert.laurent import (
     ZPoly,
     _halve,
     _isolate_squarefree,
+    _pderiv,
+    _pdivexact,
     _peval,
+    _pgcd,
     _sign_at,
     alexander_poly,
     isolate_unit_roots,
-    squarefree_decompose,
     sturm_chain,
     sturm_count,
     to_z_poly,
@@ -117,35 +119,11 @@ def test_to_z_poly_roundtrip_at_sample_points():
             assert delta.evaluate(t) == p.evaluate(t + 1 / t)
 
 
-# --- square-free decomposition ----------------------------------------------
-
-
-def test_squarefree_linear():
-    assert squarefree_decompose(ZPoly([-1, 1])) == [(ZPoly([-1, 1]), 1)]
-
-
-def test_squarefree_granny_square():
-    # (z-1)^2; gcd with the derivative 2(z-1) is z-1 by hand
-    p = to_z_poly(alexander_poly(granny_knot()))
-    assert p == ZPoly([1, -2, 1])
-    assert squarefree_decompose(p) == [(ZPoly([-1, 1]), 2)]
-
-
-def test_squarefree_golden_is_squarefree():
-    # gcd(z^2-z-1, 2z-1) = 1 by one Euclid step
-    assert squarefree_decompose(ZPoly([-1, -1, 1])) == [(ZPoly([-1, -1, 1]), 1)]
-
-
-def test_squarefree_rejects_zero():
-    with pytest.raises(ZeroPolynomialError):
-        squarefree_decompose(ZPoly([]))
-
-
-def test_squarefree_constant_has_no_factors():
-    assert squarefree_decompose(ZPoly([7])) == []
-
-
 # --- root isolation ----------------------------------------------------------
+
+
+def _squarefree_part(f):
+    return _pdivexact(f, _pgcd(f, _pderiv(f)))
 
 
 def test_isolate_trefoil_single_root_at_one():
@@ -158,10 +136,17 @@ def test_isolate_trefoil_single_root_at_one():
     assert hi - lo <= Fraction(1, 2**32)
     # angle bounds enclose pi/3
     assert float(w.angle_bounds[0]) <= 1.0471975511965976 <= float(w.angle_bounds[1])
+    # the granny's P = (z - 1)^2 has the same one root, of multiplicity 2
+    p = to_z_poly(alexander_poly(granny_knot()))
+    assert p == ZPoly([1, -2, 1])
+    (w2,) = isolate_unit_roots(p)
+    assert (w2.interval, w2.multiplicity) == (w.interval, 2)
 
 
 def test_isolate_figure_eight_no_roots():
     assert isolate_unit_roots(ZPoly([3, -1])) == []
+    # a constant has no roots at all
+    assert isolate_unit_roots(ZPoly([7])) == []
 
 
 def test_isolate_golden_two_simple_roots():
@@ -196,18 +181,56 @@ def test_isolate_intervals_disjoint_sorted_interior():
 def test_isolating_intervals_count_one_against_squarefree_part():
     # each interval must contain exactly one root of the full square-free part,
     # also across different factors (here: (z-1)^2 * (z^2-z-1))
-    from knotcert.laurent import _pmul, _primitive
-
     p = to_z_poly(alexander_poly(block_sum(TORUS_2_5, granny_knot())))
-    factors = squarefree_decompose(p)
-    radical = [1]
-    for f, _ in factors:
-        radical = _pmul(radical, list(f.coeffs))
-    chain = sturm_chain(_primitive(radical))
+    chain = sturm_chain(_squarefree_part(list(p.coeffs)))
     ws = isolate_unit_roots(p)
     assert sorted(w.multiplicity for w in ws) == [1, 1, 2]
     for w in ws:
         assert sturm_count(chain, w.interval[0], w.interval[1]) == 1
+
+
+@pytest.mark.parametrize("bits", [0, 3, 32])
+def test_isolate_multiplicities_of_constructed_roots(bits):
+    # P = (z^2 + 1) * prod (b z - a)^m over distinct roots a/b in (-2, 2),
+    # dyadic and not; z^2 + 1 has no root in [-2, 2].  Reading multiplicities
+    # off the gcds g_i in place of r_i = g_i / g_(i+1) gets the triple root
+    # 1/3 wrong: g_1 has a double root there and does not change sign
+    roots = {
+        Fraction(-5, 7): 3,
+        Fraction(-1): 2,
+        Fraction(1, 3): 3,
+        Fraction(1, 2): 4,
+        Fraction(3, 2): 1,
+        Fraction(19, 10): 2,
+    }
+    p = [1, 0, 1]
+    for r, m in roots.items():
+        for _ in range(m):
+            # p * (b z - a) for r = a/b
+            p = [r.denominator * x - r.numerator * y for x, y in zip([0, *p], [*p, 0])]
+    ws = isolate_unit_roots(ZPoly(p), refine_bits=bits)
+    assert len(ws) == len(roots)
+    for w, (r, m) in zip(ws, sorted(roots.items())):
+        lo, hi = w.interval
+        assert lo < r <= hi and hi - lo <= Fraction(1, 2**bits)
+        assert w.multiplicity == m
+
+
+def test_isolate_builds_one_sturm_chain(monkeypatch):
+    # T(2,5)#granny: P = (z - 1)^2 (z^2 - z - 1) has roots of two multiplicities
+    import knotcert.laurent as laurent_mod
+
+    calls = []
+    real = laurent_mod.sturm_chain
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(laurent_mod, "sturm_chain", spy)
+    p = to_z_poly(alexander_poly(block_sum(TORUS_2_5, granny_knot())))
+    assert [w.multiplicity for w in isolate_unit_roots(p)] == [1, 2, 1]
+    assert len(calls) == 1
 
 
 def test_isolate_rejects_roots_at_endpoints():
@@ -215,6 +238,8 @@ def test_isolate_rejects_roots_at_endpoints():
         isolate_unit_roots(ZPoly([-2, 1]))  # root z = 2
     with pytest.raises(RootAtPlusMinusOneError):
         isolate_unit_roots(ZPoly([2, 1]))  # root z = -2
+    with pytest.raises(ZeroPolynomialError):
+        isolate_unit_roots(ZPoly([]))
 
 
 # --- properties over random valid matrices -----------------------------------
@@ -364,10 +389,9 @@ def test_halve_picks_the_half_sturm_picks():
         p = ZPoly(coeffs)
         if p.degree < 1:
             continue
-        for f, _ in squarefree_decompose(p):
-            chain = sturm_chain(list(f.coeffs))
-            for ka, kb, d in _isolate_squarefree(chain, -4, 4, 1):
-                _halves(list(f.coeffs), ka, kb, d, 12)
+        f = _squarefree_part(list(p.coeffs))
+        for ka, kb, d in _isolate_squarefree(sturm_chain(f), -4, 4, 1):
+            _halves(f, ka, kb, d, 12)
         checked += 1
 
 
