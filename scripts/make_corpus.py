@@ -24,7 +24,9 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
-    fmt = args.format or args.out.suffix.lstrip(".") or "json"
+    fmt = args.format or args.out.suffix.lstrip(".").lower() or "json"
+    if fmt not in FORMATS:
+        parser.error(f"cannot infer a corpus format from {args.out.name!r}; use --format")
     entries = random_corpus(args.count, seed=args.seed, max_genus=args.max_genus)
     write_corpus(entries, args.out, fmt)
     print(f"wrote {len(entries)} entries to {args.out} ({fmt})")

@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _plot_name(name: str, used: set[str]) -> str:
-    base = re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "entry"
+    # 200 characters leave room for a number and a suffix within the
+    # 255-byte file-name limit of common file systems
+    base = (re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "entry")[:200]
     candidate = base
     k = 2
     while candidate in used:

@@ -18,22 +18,23 @@ are byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
-from .laurent import SymmetricLaurentPoly, UnitRootWitness
+from .laurent import SymmetricLaurentPoly
 from .seifert import KnotMetadata, SeifertMatrix, validate
 
 if TYPE_CHECKING:
     # parsing needs neither layer; the functions that do import them
     from .certify import Certificate
-    from .inertia import JumpReport, SignatureProfile
+    from .inertia import SignatureProfile
 
 FORMATS = ("json", "jsonl", "csv")
 
@@ -141,8 +142,11 @@ def _parse_csv(text: str) -> list[ParsedRow]:
             continue
         if not record or all(not cell.strip() for cell in record):
             continue
-        if row == 0 and len(record) >= 2 and not record[-1].strip().lstrip("-").isdigit():
-            continue  # header row
+        if row == 0 and len(record) >= 2:
+            try:
+                int(record[-1])
+            except ValueError:
+                continue  # header row
         if len(record) < 2:
             out.append(CorpusError(row, None, "need at least name and size columns"))
             continue
@@ -195,15 +199,7 @@ def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str =
     """
     path = Path(path)
     if format == "json" or format == "jsonl":
-        objs = [
-            {
-                "name": e.name,
-                "seifert": [list(row) for row in e.seifert.entries],
-                "assume_irreducible": e.assume_irreducible,
-                "assume_m0_prime": e.assume_m0_prime,
-            }
-            for e in entries
-        ]
+        objs = [_to_obj(e) for e in entries]
         if format == "json":
             path.write_text(json.dumps(objs, indent=2) + "\n", encoding="utf-8")
         else:
@@ -229,131 +225,66 @@ def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str =
 
 
 # ---------------------------------------------------------------------------
-# certificate JSON schema
+# certificate JSON schema: the dataclass declarations are the schema
 
 
-def _witness_to_obj(w: UnitRootWitness) -> dict:
-    return {
-        "interval": [str(w.interval[0]), str(w.interval[1])],
-        "multiplicity": w.multiplicity,
-        "angle_bounds": [str(w.angle_bounds[0]), str(w.angle_bounds[1])],
-    }
+def _to_obj(x):
+    """JSON-ready form of x: a dataclass becomes its compared fields in order."""
+    if isinstance(x, SeifertMatrix):
+        return _to_obj(x.entries)
+    if is_dataclass(x):
+        return {f.name: _to_obj(getattr(x, f.name)) for f in fields(x) if f.compare}
+    if isinstance(x, tuple):
+        return [_to_obj(v) for v in x]
+    if isinstance(x, SymmetricLaurentPoly):
+        return {str(k): x.coeffs[k] for k in sorted(x.coeffs)}
+    if isinstance(x, Fraction):
+        return str(x)
+    return x
 
 
-def _witness_from_obj(obj: dict) -> UnitRootWitness:
-    return UnitRootWitness(
-        interval=(Fraction(obj["interval"][0]), Fraction(obj["interval"][1])),
-        multiplicity=int(obj["multiplicity"]),
-        angle_bounds=(Fraction(obj["angle_bounds"][0]), Fraction(obj["angle_bounds"][1])),
-    )
+# evaluating a class's annotations costs more than decoding its fields
+_field_types = functools.cache(get_type_hints)
 
 
-def _jump_to_obj(j: JumpReport) -> dict:
-    return {
-        "root": _witness_to_obj(j.root),
-        "left_value": j.left_value,
-        "right_value": j.right_value,
-        "jump": j.jump,
-        "odd_multiplicity": j.odd_multiplicity,
-        "transversal_simple": j.transversal_simple,
-    }
+def _from_obj(tp, obj):
+    """Inverse of _to_obj for a value declared with type tp.
 
-
-def _jump_from_obj(obj: dict) -> JumpReport:
-    from .inertia import JumpReport
-
-    return JumpReport(
-        root=_witness_from_obj(obj["root"]),
-        left_value=int(obj["left_value"]),
-        right_value=int(obj["right_value"]),
-        jump=int(obj["jump"]),
-        odd_multiplicity=bool(obj["odd_multiplicity"]),
-        transversal_simple=bool(obj["transversal_simple"]),
-    )
-
-
-def _alexander_to_obj(p: SymmetricLaurentPoly | None) -> dict | None:
-    if p is None:
+    A missing dataclass key takes the field's default.
+    """
+    if obj is None:
         return None
-    return {str(k): p.coeffs[k] for k in sorted(p.coeffs)}
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    """JSON-ready mirror of a Certificate, field for field."""
-    checks = cert.consistency_checks
-    return {
-        "name": cert.name,
-        "verdict": cert.verdict,
-        "genus": cert.genus,
-        "alexander": _alexander_to_obj(cert.alexander),
-        "signature_at_minus_one": cert.signature_at_minus_one,
-        "simple_root_witnesses": [_witness_to_obj(w) for w in cert.simple_root_witnesses],
-        "jump_witnesses": [_jump_to_obj(j) for j in cert.jump_witnesses],
-        "odd_multiplicity_witnesses": [
-            _witness_to_obj(w) for w in cert.odd_multiplicity_witnesses
-        ],
-        "assumptions_echoed": {
-            "assume_irreducible": cert.assumptions_echoed.assume_irreducible,
-            "assume_homology_sphere": cert.assumptions_echoed.assume_homology_sphere,
-            "assume_m0_prime": cert.assumptions_echoed.assume_m0_prime,
-        },
-        "conclusion_text": cert.conclusion_text,
-        "consistency_checks": None
-        if checks is None
-        else {
-            "det_sign_crosscheck": checks.det_sign_crosscheck,
-            "first_plateau_zero": checks.first_plateau_zero,
-            "parity": checks.parity,
-        },
-        "error": cert.error,
-    }
-
-
-def certificate_from_dict(obj: dict) -> Certificate:
-    """Inverse of certificate_to_dict (the recomputable profile is not carried)."""
-    from .certify import Certificate, ConsistencyChecks
-
-    alexander = obj.get("alexander")
-    checks = obj.get("consistency_checks")
-    meta = obj["assumptions_echoed"]
-    return Certificate(
-        verdict=obj["verdict"],
-        simple_root_witnesses=tuple(
-            _witness_from_obj(w) for w in obj["simple_root_witnesses"]
-        ),
-        jump_witnesses=tuple(_jump_from_obj(j) for j in obj["jump_witnesses"]),
-        odd_multiplicity_witnesses=tuple(
-            _witness_from_obj(w) for w in obj["odd_multiplicity_witnesses"]
-        ),
-        assumptions_echoed=KnotMetadata(
-            assume_irreducible=meta["assume_irreducible"],
-            assume_homology_sphere=meta["assume_homology_sphere"],
-            assume_m0_prime=meta["assume_m0_prime"],
-        ),
-        conclusion_text=obj["conclusion_text"],
-        consistency_checks=None
-        if checks is None
-        else ConsistencyChecks(
-            det_sign_crosscheck=checks["det_sign_crosscheck"],
-            first_plateau_zero=checks["first_plateau_zero"],
-            parity=checks["parity"],
-        ),
-        name=obj.get("name"),
-        genus=obj.get("genus"),
-        alexander=None
-        if alexander is None
-        else SymmetricLaurentPoly({int(k): int(v) for k, v in alexander.items()}),
-        signature_at_minus_one=obj.get("signature_at_minus_one"),
-        error=obj.get("error"),
-    )
+    if type(None) in get_args(tp):  # an Optional holding a value
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+    if is_dataclass(tp):
+        hints = _field_types(tp)
+        return tp(
+            **{
+                f.name: _from_obj(hints[f.name], obj[f.name])
+                for f in fields(tp)
+                if f.compare and f.name in obj
+            }
+        )
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            return tuple(_from_obj(args[0], v) for v in obj)
+        return tuple(_from_obj(a, v) for a, v in zip(args, obj))
+    if tp is SymmetricLaurentPoly:
+        return SymmetricLaurentPoly({int(k): v for k, v in obj.items()})
+    if tp is Fraction:
+        return Fraction(obj)
+    return obj
 
 
 def certificates_to_json(certs: Sequence[Certificate]) -> str:
-    return json.dumps([certificate_to_dict(c) for c in certs], indent=2) + "\n"
+    return json.dumps([_to_obj(c) for c in certs], indent=2) + "\n"
 
 
 def certificates_from_json(text: str) -> list[Certificate]:
-    return [certificate_from_dict(obj) for obj in json.loads(text)]
+    from .certify import Certificate
+
+    return [_from_obj(Certificate, obj) for obj in json.loads(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +342,7 @@ def _report_row(cert: Certificate) -> dict:
     return {
         "name": cert.name,
         "genus": cert.genus,
-        "alexander": _alexander_to_obj(cert.alexander),
+        "alexander": _to_obj(cert.alexander),
         "unit_root_count": cert.unit_root_count,
         "simple_root_count": cert.simple_root_count,
         "jumps": [j.jump for j in cert.jump_witnesses],

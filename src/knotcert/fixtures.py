@@ -85,9 +85,7 @@ def congruent(v: SeifertMatrix, u: Sequence[Sequence[int]]) -> SeifertMatrix:
     return validate(w, name=name)
 
 
-def random_valid_matrix(
-    rng: random.Random, max_genus: int = 3, shear_steps: int = 4
-) -> SeifertMatrix:
+def random_valid_matrix(rng: random.Random, max_genus: int = 3) -> SeifertMatrix:
     """A random valid Seifert matrix: block sums of seeds, congruence-twisted."""
     v = rng.choice(SEEDS)
     while v.genus < max_genus and rng.random() < 0.4:
@@ -97,7 +95,7 @@ def random_valid_matrix(
         v = block_sum(v, extra)
     if rng.random() < 0.15:
         v = mirror(v)
-    return congruent(v, random_unimodular(v.size, rng, steps=shear_steps))
+    return congruent(v, random_unimodular(v.size, rng))
 
 
 def random_corpus(count: int, seed: int = 0, max_genus: int = 3) -> list[CorpusEntry]:

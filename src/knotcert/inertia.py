@@ -387,6 +387,9 @@ def jump_reports(profile: SignatureProfile) -> list[JumpReport]:
     ``transversal_simple`` is set purely from multiplicity = 1: a simple root
     forces the single vanishing eigenvalue to cross zero with nonzero slope
     (det B changes sign to first order), so no numerical slope test is run.
+    Raises InternalInconsistencyError if a jump breaks one of three laws:
+    |jump| <= 2 * multiplicity, a nonzero jump at an odd multiplicity, and
+    |jump| = 2 at a simple root.
     """
     out = []
     for i, w in enumerate(profile.jump_angles):
@@ -402,6 +405,10 @@ def jump_reports(profile: SignatureProfile) -> list[JumpReport]:
             raise InternalInconsistencyError(
                 "zero jump at an odd-multiplicity root contradicts the determinant sign flip"
             )
+        # a simple root has exactly one eigenvalue crossing zero transversely,
+        # so its signature jump must be exactly +-2; fail closed otherwise
+        if w.multiplicity == 1 and abs(jump) != 2:
+            raise InternalInconsistencyError(f"simple root with |jump| = {abs(jump)} != 2")
         out.append(
             JumpReport(
                 root=w,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -34,7 +35,7 @@ from knotcert.errors import (
     UnknownFormatError,
     ZeroPolynomialError,
 )
-from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, random_corpus
+from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, granny_knot, random_corpus
 from knotcert.inertia import signature_profile
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
 from knotcert.seifert import validate
@@ -137,12 +138,14 @@ def test_parse_rejects_a_non_boolean_flag(tmp_path):
 
 
 def test_parse_csv(tmp_path):
-    # name, row-major entries, trailing size column
+    # name, row-major entries, trailing size column; a signed size on the
+    # first line is data, not a header, because int() reads it
     p = tmp_path / "c.csv"
-    p.write_text("trefoil,-1,1,0,-1,2\nshort,-1,1,2\n")
-    rows = parse_corpus(p)
-    assert rows[0] == CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))
-    assert isinstance(rows[1], CorpusError)
+    for first in ("trefoil,-1,1,0,-1,2", "trefoil,-1,1,0,-1,+2"):
+        p.write_text(first + "\nshort,-1,1,2\n")
+        rows = parse_corpus(p)
+        assert rows[0] == CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))
+        assert isinstance(rows[1], CorpusError)
 
 
 @pytest.mark.parametrize(
@@ -216,21 +219,35 @@ def test_parse_flags(tmp_path):
 
 def test_certificate_json_roundtrip_is_stable(tmp_path):
     p = tmp_path / "c.json"
-    p.write_text(
-        json.dumps(
-            [
-                TREFOIL_OBJ,
-                {"name": "figure8", "seifert": [[1, 1], [0, -1]]},
-                {"name": "broken", "seifert": [[0, 0], [0, 0]]},
-            ]
-        )
-    )
-    certs = certify_rows(parse_corpus(p))
-    text = certificates_to_json(certs)
-    parsed = certificates_from_json(text)
-    assert parsed == certs
-    # parse(emit(parse(x))) == parse(x)
-    assert certificates_from_json(certificates_to_json(parsed)) == parsed
+    for objs in (
+        [
+            TREFOIL_OBJ,
+            {"name": "figure8", "seifert": [[1, 1], [0, -1]]},
+            {"name": "broken", "seifert": [[0, 0], [0, 0]]},
+        ],
+        # a multiplicity-2 witness and an empty odd-multiplicity list
+        [{"name": "granny", "seifert": [list(r) for r in granny_knot().entries]}],
+        # empty witness tuples and alexander {"0": 1}
+        [{"name": "unknot", "seifert": []}],
+        [dict(TREFOIL_OBJ, assume_irreducible=False, assume_m0_prime=True)],
+    ):
+        p.write_text(json.dumps(objs))
+        certs = certify_rows(parse_corpus(p))
+        text = certificates_to_json(certs)
+        parsed = certificates_from_json(text)
+        assert parsed == certs
+        # parse(emit(parse(x))) == parse(x)
+        assert certificates_from_json(certificates_to_json(parsed)) == parsed
+
+
+def test_certificate_json_missing_defaulted_keys_read_back_as_defaults():
+    cert = certify(TREFOIL, name="trefoil")
+    defaulted = ("name", "genus", "alexander", "signature_at_minus_one", "error")
+    obj = json.loads(certificates_to_json([cert]))[0]
+    for key in defaulted:
+        del obj[key]
+    (parsed,) = certificates_from_json(json.dumps([obj]))
+    assert parsed == dataclasses.replace(cert, **dict.fromkeys(defaulted))
 
 
 def test_certificate_json_carries_schema_fields():
@@ -576,11 +593,21 @@ def test_cli_rejects_non_numeric_refine_bits(corpus_file, capsys):
 
 def test_cli_plot_names_that_collide_get_numbered_stems(tmp_path, capsys):
     p = tmp_path / "c.json"
-    names = ["trefoil", "trefoil", "tre foil", "tre_foil"]
-    p.write_text(json.dumps([dict(TREFOIL_OBJ, name=n) for n in names]))
-    assert main(["report", "--input", str(p), "--plot", str(tmp_path / "plots")]) == 0
-    stems = sorted(f.stem for f in (tmp_path / "plots").glob("*.svg"))
-    assert stems == ["tre_foil", "tre_foil_2", "trefoil", "trefoil_2"]
+    for i, (names, expected) in enumerate(
+        [
+            (
+                ["trefoil", "trefoil", "tre foil", "tre_foil"],
+                ["tre_foil", "tre_foil_2", "trefoil", "trefoil_2"],
+            ),
+            # a stem is cut to 200 characters before it is numbered, so that
+            # a long name cannot overflow the file-name limit
+            (["k" * 200 + "a" * 100, "k" * 200 + "b" * 100], ["k" * 200, "k" * 200 + "_2"]),
+        ]
+    ):
+        p.write_text(json.dumps([dict(TREFOIL_OBJ, name=n) for n in names]))
+        plots = tmp_path / f"plots{i}"
+        assert main(["report", "--input", str(p), "--plot", str(plots)]) == 0
+        assert sorted(f.stem for f in plots.glob("*.svg")) == expected
 
 
 def test_cli_rejects_boolean_matrix_entries(tmp_path, capsys):

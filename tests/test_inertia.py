@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from knotcert.errors import InternalInconsistencyError
 from knotcert.fixtures import (
     FIGURE_EIGHT,
     TORUS_2_5,
@@ -207,6 +210,23 @@ def test_jump_reports_granny_and_square():
     assert report.root.multiplicity == 2
 
 
+@pytest.mark.parametrize(
+    "plateaus, message",
+    [
+        ((0, -4), "exceeds twice the multiplicity 1"),
+        ((0, 0), "zero jump at an odd-multiplicity root"),
+        ((0, -1), "simple root with |jump| = 1 != 2"),
+    ],
+    ids=["bound", "odd", "simple"],
+)
+def test_jump_reports_fail_closed_on_a_broken_jump_law(plateaus, message):
+    # the trefoil's one simple root, with plateaus that break one law each
+    profile, _ = profile_of(TREFOIL)
+    broken = dataclasses.replace(profile, plateau_values=plateaus)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        jump_reports(broken)
+
+
 # --- determinant crosscheck -----------------------------------------------------
 
 
@@ -353,8 +373,6 @@ def test_sample_point_in_z_range_is_exact_and_interior():
 def test_profile_rejects_witnesses_that_miss_roots():
     # an empty witness list for the trefoil puts the root inside an arc,
     # which the first-plateau assertion catches
-    from knotcert.errors import InternalInconsistencyError
-
     with pytest.raises(InternalInconsistencyError):
         signature_profile(TREFOIL, [])
 

@@ -9,11 +9,12 @@ import sys
 from pathlib import Path
 
 import knotcert
+from knotcert.corpus import parse_corpus
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(script: str, *args: str) -> None:
+def _run(script: str, *args: str, status: int = 0) -> subprocess.CompletedProcess:
     # the child finds the package where this process did, installed or not
     src = str(Path(knotcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -23,7 +24,8 @@ def _run(script: str, *args: str) -> None:
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
+    return proc
 
 
 def _files(directory: Path) -> dict[str, bytes]:
@@ -36,6 +38,22 @@ def test_make_corpus_is_deterministic(tmp_path):
         _run("make_corpus.py", "--count", "5", "--seed", "3", "--out", str(out))
     assert len(json.loads(first.read_text())) == 5
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_make_corpus_infers_the_format_from_an_upper_case_suffix(tmp_path):
+    out = tmp_path / "c.JSON"
+    _run("make_corpus.py", "--count", "2", "--out", str(out))
+    assert len(parse_corpus(out)) == 2
+
+
+def test_make_corpus_rejects_an_unknown_suffix_as_a_usage_error(tmp_path):
+    out = tmp_path / "c.txt"
+    proc = _run("make_corpus.py", "--count", "2", "--out", str(out), status=2)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "make_corpus.py: error: cannot infer a corpus format from 'c.txt'; use --format"
+    )
+    assert not out.exists()
 
 
 def test_plot_gallery_is_deterministic(tmp_path):
