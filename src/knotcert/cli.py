@@ -4,6 +4,9 @@ Subcommands: validate, alexander, roots, signature, certify, report.
 Every matrix is validated once, when the corpus is parsed.  signature,
 certify and report run the full certificate pipeline with all of its exact
 cross-checks; alexander and roots compute only what they print.
+roots, signature, certify and report take --refine-bits N, N <= 4096.  An
+error row prints as ``ERROR row N (name): reason``; in certify and report
+it is an INVALID_INPUT record whose error reads the same.
 Each command loads only the layers it runs: validate, alexander and roots
 load corpus, errors, laurent and seifert; signature, certify and report
 also load certify and inertia, which the command functions below import.
@@ -44,14 +47,20 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INCONSISTENT = 2
 
+# at 4096 bits every interval endpoint prints within the interpreter's
+# default int-to-str digit limit, and T(2,13) refines in seconds
+_MAX_REFINE_BITS = 4096
 
-def _nonnegative_int(text: str) -> int:
+
+def _refine_bits(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    if value > _MAX_REFINE_BITS:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_REFINE_BITS}, got {text!r}")
     return value
 
 
@@ -71,15 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=FORMATS, default=None,
         help="corpus format; inferred from the file suffix when omitted",
     )
-    common.add_argument(
-        "--refine-bits", type=_nonnegative_int, default=32, metavar="N",
-        help="refine isolating intervals to width 2^-N (default 32)",
+    refining = argparse.ArgumentParser(add_help=False)
+    refining.add_argument(
+        "--refine-bits", type=_refine_bits, default=32, metavar="N",
+        help=f"refine isolating intervals to width 2^-N (default 32, at most {_MAX_REFINE_BITS})",
     )
-
-    sub.add_parser("validate", parents=[common], help="validate Seifert matrices")
-    sub.add_parser("alexander", parents=[common], help="print Alexander polynomials")
-    sub.add_parser("roots", parents=[common], help="isolate unit-circle roots")
-
     plotting = argparse.ArgumentParser(add_help=False)
     plotting.add_argument(
         "--plot", metavar="DIR", default=None,
@@ -89,18 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--paper-angles", action="store_true",
         help="report halved angles (jumps at alpha with e^(2i*alpha) the root)",
     )
-    signature = sub.add_parser(
-        "signature", parents=[common, plotting], help="print signature profiles"
-    )
+
+    def add(name, run, parents, help_text):
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
+        p.set_defaults(run=run)
+        return p
+
+    add("validate", _cmd_validate, [], "validate Seifert matrices")
+    add("alexander", _cmd_alexander, [], "print Alexander polynomials")
+    add("roots", _cmd_roots, [refining], "isolate unit-circle roots")
+    signature = add("signature", _cmd_signature, [refining, plotting], "print signature profiles")
     signature.add_argument(
         "--slope-diagnostics", action="store_true",
         help="print display-only finite-difference eigenvalue slopes at each root",
     )
-    cert = sub.add_parser("certify", parents=[common], help="emit certificates as JSON")
+    cert = add("certify", _cmd_certify, [refining], "emit certificates as JSON")
     cert.add_argument("--out", metavar="PATH", default=None, help="also write the JSON here")
-    report = sub.add_parser(
-        "report", parents=[common, plotting], help="summary table and JSON report"
-    )
+    report = add("report", _cmd_report, [refining, plotting], "summary table and JSON report")
     report.add_argument(
         "--out", metavar="PATH", default=None, help="write the machine-readable JSON report here"
     )
@@ -120,140 +130,132 @@ def _plot_name(name: str, used: set[str]) -> str:
     return candidate
 
 
-def _print_row_error(row: CorpusError) -> None:
-    # a validation message from the corpus parser already carries the prefix
-    prefix = f"row {row.row} ({row.name or '?'}): "
-    print(f"ERROR {prefix}{row.message.removeprefix(prefix)}")
+def _each_entry(rows, emit) -> int:
+    """Print each error row as ERROR and pass each entry to emit, in file order.
 
-
-def _cmd_validate(rows) -> int:
+    emit prints an entry and returns None, or returns the CorpusError of an
+    entry it cannot print, which is printed as an error row.
+    """
     status = EXIT_OK
     for row in rows:
-        if isinstance(row, CorpusError):
-            _print_row_error(row)
+        error = row if isinstance(row, CorpusError) else emit(row)
+        if error is not None:
+            print(f"ERROR {error}")
             status = EXIT_INPUT_ERROR
-        else:
-            print(f"OK {row.name}: genus {row.seifert.genus}")
     return status
 
 
-def _cmd_alexander(rows) -> int:
-    status = EXIT_OK
-    for row in rows:
-        if isinstance(row, CorpusError):
-            _print_row_error(row)
-            status = EXIT_INPUT_ERROR
-            continue
-        delta = alexander_poly(row.seifert)
+def _cmd_validate(rows, args) -> int:
+    def emit(entry):
+        print(f"OK {entry.name}: genus {entry.seifert.genus}")
+
+    return _each_entry(rows, emit)
+
+
+def _cmd_alexander(rows, args) -> int:
+    def emit(entry):
+        delta = alexander_poly(entry.seifert)
         error = _coefficient_error(delta)
         if error is not None:
-            _print_row_error(CorpusError(row.row, row.name, error))
-            status = EXIT_INPUT_ERROR
-            continue
-        print(f"{row.name}: {delta}")
-    return status
+            return CorpusError(entry.row, entry.name, error)
+        print(f"{entry.name}: {delta}")
+
+    return _each_entry(rows, emit)
 
 
-def _cmd_roots(rows, refine_bits: int) -> int:
-    status = EXIT_OK
-    for row in rows:
-        if isinstance(row, CorpusError):
-            _print_row_error(row)
-            status = EXIT_INPUT_ERROR
-            continue
-        p_z = to_z_poly(alexander_poly(row.seifert))
-        witnesses = isolate_unit_roots(p_z, refine_bits=refine_bits)
-        print(f"{row.name}: {len(witnesses)} unit root(s)")
+def _cmd_roots(rows, args) -> int:
+    def emit(entry):
+        p_z = to_z_poly(alexander_poly(entry.seifert))
+        witnesses = isolate_unit_roots(p_z, refine_bits=args.refine_bits)
+        print(f"{entry.name}: {len(witnesses)} unit root(s)")
         for w in witnesses:
             lo, hi = w.angle_bounds
             print(
                 f"  z in ({w.interval[0]}, {w.interval[1]}], multiplicity {w.multiplicity},"
                 f" phi in [{float(lo):.6f}, {float(hi):.6f}]"
             )
-    return status
+
+    return _each_entry(rows, emit)
 
 
-def _write_plots(profiles: list[tuple[str, object]], plot_dir: str) -> None:
-    out = Path(plot_dir)
+def _write_plots(certs, args) -> None:
+    """Write the step plot of every certificate with a profile into --plot, if given."""
+    from .inertia import to_paper_parametrization
+
+    if args.plot is None:
+        return
+    out = Path(args.plot)
     out.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
-    for name, profile in profiles:
-        stem = _plot_name(name, used)
-        emit_profile_plot(profile, out / f"{stem}.svg", title=name)
+    for cert in certs:
+        if cert.profile is not None:
+            profile = to_paper_parametrization(cert.profile) if args.paper_angles else cert.profile
+            name = cert.name or "entry"
+            emit_profile_plot(profile, out / f"{_plot_name(name, used)}.svg", title=name)
 
 
-def _cmd_signature(
-    rows, refine_bits: int, plot: str | None, paper: bool, slopes: bool
-) -> int:
+def _cmd_signature(rows, args) -> int:
     from .certify import certify
     from .inertia import to_paper_parametrization, transversality_diagnostic
 
-    status = EXIT_OK
-    profiles = []
-    for row in rows:
-        if isinstance(row, CorpusError):
-            _print_row_error(row)
-            status = EXIT_INPUT_ERROR
-            continue
-        cert = certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
-        profile = to_paper_parametrization(cert.profile) if paper else cert.profile
-        angle = "alpha" if paper else "phi"
+    certs = []
+
+    def emit(entry):
+        cert = certify(
+            entry.seifert, entry.metadata(), name=entry.name, refine_bits=args.refine_bits
+        )
+        certs.append(cert)
+        profile = to_paper_parametrization(cert.profile) if args.paper_angles else cert.profile
+        angle = "alpha" if args.paper_angles else "phi"
         jumps = ", ".join(
             f"{profile.plateau_values[i + 1] - profile.plateau_values[i]:+d} at "
             f"{angle} ~ {float(w.angle_mid):.6f}"
             for i, w in enumerate(profile.jump_angles)
         )
         print(
-            f"{row.name}: plateaus {list(profile.plateau_values)}, "
+            f"{entry.name}: plateaus {list(profile.plateau_values)}, "
             f"sig(-1) = {profile.value_at_minus_one}"
             + (f", jumps: {jumps}" if jumps else "")
         )
-        if slopes:
-            for i in range(len(cert.profile.jump_angles)):
-                diag = transversality_diagnostic(row.seifert, cert.profile.jump_angles, i)
+        if args.slope_diagnostics:
+            roots = cert.profile.jump_angles
+            for i in range(len(roots)):
+                # jumps run by increasing angle, the diagnostic's roots by increasing z
+                diag = transversality_diagnostic(entry.seifert, roots, len(roots) - 1 - i)
                 print(
                     f"  root {i}: eigenvalue {diag.left_eigenvalue:+.6g} -> "
                     f"{diag.right_eigenvalue:+.6g}, slope ~ {diag.slope:+.6g}"
                 )
-        profiles.append((row.name, profile))
-    if plot is not None:
-        _write_plots(profiles, plot)
+
+    status = _each_entry(rows, emit)
+    _write_plots(certs, args)
     return status
 
 
-def _cmd_certify(rows, refine_bits: int, out: str | None) -> int:
+def _certificates(rows, args):
+    """Certificates of all rows, and the exit status their verdicts give."""
     from .certify import INVALID_INPUT
 
-    certs = certify_rows(rows, refine_bits=refine_bits)
+    certs = certify_rows(rows, refine_bits=args.refine_bits)
+    return certs, EXIT_INPUT_ERROR if any(c.verdict == INVALID_INPUT for c in certs) else EXIT_OK
+
+
+def _cmd_certify(rows, args) -> int:
+    certs, status = _certificates(rows, args)
     text = certificates_to_json(certs)
     sys.stdout.write(text)
-    if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
-    if any(c.verdict == INVALID_INPUT for c in certs):
-        return EXIT_INPUT_ERROR
-    return EXIT_OK
+    if args.out is not None:
+        Path(args.out).write_text(text, encoding="utf-8")
+    return status
 
 
-def _cmd_report(
-    rows, refine_bits: int, out: str | None, plot: str | None, paper: bool
-) -> int:
-    from .certify import INVALID_INPUT
-    from .inertia import to_paper_parametrization
-
-    certs = certify_rows(rows, refine_bits=refine_bits)
+def _cmd_report(rows, args) -> int:
+    certs, status = _certificates(rows, args)
     sys.stdout.write(emit_report(certs, format="table"))
-    if out is not None:
-        Path(out).write_text(emit_report(certs, format="json"), encoding="utf-8")
-    if plot is not None:
-        profiles = []
-        for cert in certs:
-            if cert.profile is not None:
-                profile = to_paper_parametrization(cert.profile) if paper else cert.profile
-                profiles.append((cert.name or "entry", profile))
-        _write_plots(profiles, plot)
-    if any(c.verdict == INVALID_INPUT for c in certs):
-        return EXIT_INPUT_ERROR
-    return EXIT_OK
+    if args.out is not None:
+        Path(args.out).write_text(emit_report(certs, format="json"), encoding="utf-8")
+    _write_plots(certs, args)
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -275,21 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        if args.command == "validate":
-            return _cmd_validate(rows)
-        if args.command == "alexander":
-            return _cmd_alexander(rows)
-        if args.command == "roots":
-            return _cmd_roots(rows, args.refine_bits)
-        if args.command == "signature":
-            return _cmd_signature(
-                rows, args.refine_bits, args.plot, args.paper_angles,
-                args.slope_diagnostics,
-            )
-        if args.command == "certify":
-            return _cmd_certify(rows, args.refine_bits, args.out)
-        if args.command == "report":
-            return _cmd_report(rows, args.refine_bits, args.out, args.plot, args.paper_angles)
+        return args.run(rows, args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -302,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

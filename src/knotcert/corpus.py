@@ -58,11 +58,18 @@ class CorpusEntry:
 
 @dataclass(frozen=True)
 class CorpusError:
-    """A row that could not be parsed or validated, with its location."""
+    """A row that could not be parsed or validated, with its location.
+
+    ``message`` is the bare reason; str() is the row's one wording,
+    ``row N (name): reason``, with ``?`` for a missing name.
+    """
 
     row: int
     name: str | None
     message: str
+
+    def __str__(self) -> str:
+        return f"row {self.row} ({self.name or '?'}): {self.message}"
 
 
 ParsedRow = CorpusEntry | CorpusError
@@ -86,7 +93,7 @@ def _entry_from_obj(obj, row: int) -> ParsedRow:
     try:
         matrix = validate(seifert, name=name)
     except (ValidationError, TypeError, ValueError) as exc:
-        return CorpusError(row, name, f"row {row} ({name}): {exc}")
+        return CorpusError(row, name, str(exc))
     return CorpusEntry(name=name, seifert=matrix, row=row, **flags)
 
 
@@ -305,15 +312,13 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
     out = []
     for row in rows:
         if isinstance(row, CorpusError):
-            out.append(
-                _invalid_certificate(KnotMetadata(), row.name or f"row {row.row}", row.message)
-            )
+            out.append(_invalid_certificate(KnotMetadata(), row.name or f"row {row.row}", str(row)))
             continue
         cert = certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
         error = _coefficient_error(cert.alexander)
         if error is not None:
             cert = _invalid_certificate(
-                row.metadata(), row.name, f"row {row.row} ({row.name}): {error}"
+                row.metadata(), row.name, str(CorpusError(row.row, row.name, error))
             )
         out.append(cert)
     return out

@@ -102,7 +102,11 @@ def validate(entries: Sequence[Sequence[int]], name: str | None = None) -> Seife
     skew = [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]
     d = det_int(skew)
     if d != 1:
-        raise NonSymplecticError(f"det(V - V^T) = {d}, expected 1")
+        try:
+            shown = f"= {d}"
+        except ValueError:  # more digits than the int-to-str limit allows
+            shown = f"is a {d.bit_length()}-bit integer"
+        raise NonSymplecticError(f"det(V - V^T) {shown}, expected 1")
     return SeifertMatrix(entries=m, name=name)
 
 

@@ -95,7 +95,7 @@ def test_parse_odd_size_row_yields_error_record(tmp_path):
     err = rows[1]
     assert isinstance(err, CorpusError)
     assert err.row == 1 and err.name == "bad"
-    assert "row 1" in err.message
+    assert "row 1" in str(err)
 
 
 def test_parse_rejects_fractional_entries(tmp_path):
@@ -455,22 +455,27 @@ def test_cli_missing_file_and_unknown_format(tmp_path, capsys):
 
 FLOAT_ROW = {"name": "float", "seifert": [[1.5, 1], [0, -1]]}
 FLOAT_MESSAGE = "row 0 (float): 'float' object cannot be interpreted as an integer"
+# a structural error, found before the matrix is validated
+FLAT_ROW = {"name": "flat", "seifert": [1, 2]}
+FLAT_MESSAGE = "row 1 (flat): 'seifert' must be a matrix (list of lists)"
 
 
 @pytest.mark.parametrize("command", ["validate", "alexander", "roots", "signature"])
 def test_cli_row_error_prefix_printed_once(command, tmp_path, capsys):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps([FLOAT_ROW, TREFOIL_OBJ]))
+    p.write_text(json.dumps([FLOAT_ROW, FLAT_ROW, TREFOIL_OBJ]))
     assert main([command, "--input", str(p)]) == 1
-    assert capsys.readouterr().out.splitlines()[0] == f"ERROR {FLOAT_MESSAGE}"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"ERROR {FLOAT_MESSAGE}", f"ERROR {FLAT_MESSAGE}"]
 
 
 def test_cli_row_error_in_report_json_keeps_its_prefix(tmp_path, capsys):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps([FLOAT_ROW]))
+    p.write_text(json.dumps([FLOAT_ROW, FLAT_ROW]))
     out = tmp_path / "r.json"
     assert main(["report", "--input", str(p), "--out", str(out)]) == 1
-    assert json.loads(out.read_text())[0]["error"] == FLOAT_MESSAGE
+    errors = [row["error"] for row in json.loads(out.read_text())]
+    assert errors == [FLOAT_MESSAGE, FLAT_MESSAGE]
 
 
 def _one_error_line(capsys) -> str:
@@ -552,14 +557,14 @@ def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, caps
 
 
 def test_cli_slope_diagnostics_digits_are_exact(tmp_path, capsys):
-    # T(2,5)#5_2 sheared: the root-2 left eigenvalue is 1.3182750113e-07; a
+    # T(2,5)#5_2 sheared: the root-0 left eigenvalue is 1.3182750113e-07; a
     # 2^-48 enclosure is too wide for its sixth digit (one such midpoint,
     # 1.3182749998e-07, prints +1.31827e-07)
     p = tmp_path / "c.json"
     write_corpus([random_corpus(60, seed=5)[30]], p, "json")
     assert main(["signature", "--input", str(p), "--slope-diagnostics"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3].startswith("  root 2: eigenvalue +1.31828e-07 -> ")
+    assert lines[1].startswith("  root 0: eigenvalue +1.31828e-07 -> ")
 
 
 @pytest.mark.parametrize(
@@ -589,6 +594,38 @@ def test_cli_rejects_non_numeric_refine_bits(corpus_file, capsys):
         main(["roots", "--input", str(corpus_file), "--refine-bits", "many"])
     assert exc.value.code == 2
     assert "--refine-bits: must be a non-negative integer, got 'many'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["roots", "certify"])
+@pytest.mark.parametrize("bits", ["4097", str(10**20)])
+def test_cli_rejects_refine_bits_past_the_bound(command, bits, corpus_file, capsys):
+    # past the bound an endpoint overflows the int-to-str limit or the shift
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(corpus_file), "--refine-bits", bits])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--refine-bits: must be at most 4096, got '{bits}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "alexander"])
+def test_cli_refine_bits_only_where_it_is_read(command, corpus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(corpus_file), "--refine-bits", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --refine-bits 3" in capsys.readouterr().err
+
+
+def test_cli_slope_diagnostics_follow_the_jump_order(tmp_path, capsys):
+    # trefoil # mirror(5_2): the first jump, +2 at the 5_2 root, crosses upward
+    p = tmp_path / "c.json"
+    seifert = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 2]]
+    p.write_text(json.dumps([{"name": "sum", "seifert": seifert}]))
+    assert main(["signature", "--input", str(p), "--slope-diagnostics"]) == 0
+    head, root0, root1 = capsys.readouterr().out.splitlines()
+    assert head.endswith("jumps: +2 at phi ~ 0.722734, -2 at phi ~ 1.047198")
+    assert root0.startswith("  root 0: ") and root0.endswith("slope ~ +0.881917")
+    assert root1.startswith("  root 1: ") and root1.endswith("slope ~ -0.866025")
 
 
 def test_cli_plot_names_that_collide_get_numbered_stems(tmp_path, capsys):
@@ -827,6 +864,20 @@ def test_cli_csv_record_the_reader_rejects_is_a_row_error(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("ERROR row 1 (?): bad CSV record: field larger than field limit")
     assert len(lines) == 3
+
+
+def test_huge_det_is_worded_without_its_digits(tmp_path, capsys):
+    # det(V - V^T) = 10^4400 has more digits than the int-to-str limit allows
+    _int_digit_limit()
+    matrix = [[0, 10**2200], [0, 0]]
+    message = "det(V - V^T) is a 14617-bit integer, expected 1"
+    cert = certify(matrix)
+    assert cert.verdict == INVALID_INPUT
+    assert cert.error == f"NonSymplecticError: {message}"
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([{"name": "big", "seifert": matrix}]))
+    assert main(["validate", "--input", str(p)]) == 1
+    assert capsys.readouterr().out == f"ERROR row 0 (big): {message}\n"
 
 
 def test_cli_module_entry_point(corpus_file):
