@@ -24,6 +24,7 @@ from .inertia import (
     signature_profile,
 )
 from .laurent import (
+    MAX_REFINE_BITS,
     SymmetricLaurentPoly,
     UnitRootWitness,
     alexander_poly,
@@ -138,8 +139,11 @@ def certify(
     matrix; raw inputs failing validation, non-integer entries included,
     yield an INVALID_INPUT certificate rather than raising.  Any failed
     internal consistency check raises InternalInconsistencyError; a
-    certificate with failed checks is never emitted.
+    certificate with failed checks is never emitted.  A ``refine_bits``
+    outside [0, MAX_REFINE_BITS] raises ValueError before any work.
     """
+    if not 0 <= refine_bits <= MAX_REFINE_BITS:
+        raise ValueError(f"refine_bits must be in [0, {MAX_REFINE_BITS}], got {refine_bits}")
     if isinstance(v, SeifertMatrix):
         matrix = v
     else:

@@ -41,15 +41,11 @@ from .errors import (
     UnknownFormatError,
     ValidationError,
 )
-from .laurent import alexander_poly, isolate_unit_roots, to_z_poly
+from .laurent import MAX_REFINE_BITS, alexander_poly, isolate_unit_roots, to_z_poly
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INCONSISTENT = 2
-
-# at 4096 bits every interval endpoint prints within the interpreter's
-# default int-to-str digit limit, and T(2,13) refines in seconds
-_MAX_REFINE_BITS = 4096
 
 
 def _refine_bits(text: str) -> int:
@@ -59,8 +55,8 @@ def _refine_bits(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    if value > _MAX_REFINE_BITS:
-        raise argparse.ArgumentTypeError(f"must be at most {_MAX_REFINE_BITS}, got {text!r}")
+    if value > MAX_REFINE_BITS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_REFINE_BITS}, got {text!r}")
     return value
 
 
@@ -83,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     refining = argparse.ArgumentParser(add_help=False)
     refining.add_argument(
         "--refine-bits", type=_refine_bits, default=32, metavar="N",
-        help=f"refine isolating intervals to width 2^-N (default 32, at most {_MAX_REFINE_BITS})",
+        help=f"refine isolating intervals to width 2^-N (default 32, at most {MAX_REFINE_BITS})",
     )
     plotting = argparse.ArgumentParser(add_help=False)
     plotting.add_argument(
@@ -218,10 +214,8 @@ def _cmd_signature(rows, args) -> int:
             + (f", jumps: {jumps}" if jumps else "")
         )
         if args.slope_diagnostics:
-            roots = cert.profile.jump_angles
-            for i in range(len(roots)):
-                # jumps run by increasing angle, the diagnostic's roots by increasing z
-                diag = transversality_diagnostic(entry.seifert, roots, len(roots) - 1 - i)
+            for i in range(len(cert.profile.jump_angles)):
+                diag = transversality_diagnostic(entry.seifert, cert.profile, i)
                 print(
                     f"  root {i}: eigenvalue {diag.left_eigenvalue:+.6g} -> "
                     f"{diag.right_eigenvalue:+.6g}, slope ~ {diag.slope:+.6g}"

@@ -491,25 +491,23 @@ def _eigenvalue_nearest_zero(h: CMatrix) -> float:
 
 def transversality_diagnostic(
     v: SeifertMatrix,
-    witnesses: Sequence[UnitRootWitness],
-    root_index: int,
+    profile: SignatureProfile,
+    jump_index: int,
 ) -> SlopeDiagnostic:
-    """Finite-difference estimate of the vanishing eigenvalue's slope at a root.
+    """Finite-difference estimate of the vanishing eigenvalue's slope at a jump.
 
-    Samples within 2^-20 of the isolating interval on both sides (clamped away
-    from neighboring roots), finds the eigenvalue nearest zero on each side,
-    and differences against the sample angles.  Purely informational; no
-    verdict consumes it.
+    Jumps are numbered by increasing angle, as in ``profile.jump_angles``.
+    Samples within 2^-20 of the isolating interval on both sides (clamped to
+    the plateau arcs next to it), finds the eigenvalue nearest zero on each
+    side, and differences against the sample angles.  Purely informational;
+    no verdict consumes it.
     """
-    by_z = sorted(witnesses, key=lambda w: w.interval)
-    w = by_z[root_index]
-    lo, hi = w.interval
+    lo, hi = profile.jump_angles[jump_index].interval
+    arcs = _arc_z_ranges(profile.jump_angles)
     delta = Fraction(1, 2**20)
-    below = by_z[root_index - 1].interval[1] if root_index > 0 else Fraction(-2)
-    above = by_z[root_index + 1].interval[0] if root_index + 1 < len(by_z) else Fraction(2)
     # angle-left of the root means larger z
-    left_point = sample_point_in_z_range(hi, min(hi + delta, above))
-    right_point = sample_point_in_z_range(max(lo - delta, below), lo)
+    left_point = sample_point_in_z_range(hi, min(hi + delta, arcs[jump_index][1]))
+    right_point = sample_point_in_z_range(max(lo - delta, arcs[jump_index + 1][0]), lo)
     return SlopeDiagnostic(
         left_angle=left_point.angle,
         right_angle=right_point.angle,

@@ -20,10 +20,12 @@ Conventions used throughout:
   Every sign is read off by integer Horner at a point k/d (``_sign_int``).
   One Sturm chain, of the square-free part P / gcd(P, P'), counts the roots
   in a bisection; multiplicities come from the chain of gcds with the
-  derivative.  An interval that holds one root of a square-free polynomial
-  is then refined by the sign of that polynomial alone, carrying its sign
-  at the right end (``_halve``).  A ``Fraction`` is built only for a
-  finished ``UnitRootWitness`` and for the public ``sturm_count``.
+  derivative.  Chains and gcds both read one remainder sequence
+  (``_remainders``) of integer pseudo-remainders (``_prem``).  An interval
+  that holds one root of a square-free polynomial is then refined by the
+  sign of that polynomial alone, carrying its sign at the right end
+  (``_halve``).  A ``Fraction`` is built only for a finished
+  ``UnitRootWitness``.
   Isolating intervals are half-open (lo, hi], so a dyadic root hit by
   bisection sits at the right endpoint.
 """
@@ -47,6 +49,11 @@ from .seifert import SeifertMatrix, det_int
 
 IntPoly = list[int]
 
+# the bound ``certify`` and the command line put on refine_bits: at 4096 bits
+# every interval endpoint prints within the interpreter's default int-to-str
+# digit limit, and T(2,13) refines in seconds
+MAX_REFINE_BITS = 4096
+
 # ---------------------------------------------------------------------------
 # dense integer polynomial helpers
 
@@ -55,10 +62,6 @@ def _trim(c: IntPoly) -> IntPoly:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pneg(a: IntPoly) -> IntPoly:
-    return [-x for x in a]
 
 
 def _pdivexact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -121,57 +124,54 @@ def _sign_at(a: Sequence[int], x: int | Fraction) -> int:
     return _sign_int(a, *_num_den(x))
 
 
-def _content(a: IntPoly) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
-
-
 def _primitive(a: IntPoly) -> IntPoly:
     """Divide out the integer content and force a positive leading coefficient."""
     if not a:
         return []
-    c = -_content(a) if a[-1] < 0 else _content(a)
+    c = -gcd(*a) if a[-1] < 0 else gcd(*a)
     return [x // c for x in a]
 
 
-def _frem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Remainder of a by b over Q, rescaled by a positive rational to a
-    primitive integer polynomial.  Positive rescaling preserves every sign,
-    which is what Sturm sequences need."""
-    rem = [Fraction(x) for x in a]
-    lead = Fraction(b[-1])
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
-        if c == 0:
-            continue
-        qk = c / lead
-        for j, y in enumerate(b):
-            rem[k + j] -= qk * y
-    while rem and rem[-1] == 0:
-        rem.pop()
-    if not rem:
-        return []
-    denom_lcm = 1
-    for x in rem:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in rem]
-    c = _content(ints)
-    return [x // c for x in ints]
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Remainder of a by b != 0 over Q, rescaled by a positive rational to a
+    primitive integer polynomial, so every sign is kept.
+
+    Before each top term is cancelled the partial remainder is multiplied by
+    |lead(b)|, which keeps the division in Z[x].
+    """
+    n = len(b) - 1
+    rem = list(a)
+    while len(rem) > n:
+        c = rem.pop()
+        if c:
+            q = c if b[-1] > 0 else -c  # c * |lead(b)| / lead(b)
+            k = len(rem) - n
+            rem = [x * abs(b[-1]) for x in rem]
+            for j in range(n):
+                rem[k + j] -= q * b[j]
+    _trim(rem)
+    c = gcd(*rem)
+    return [x // c for x in rem]
+
+
+def _remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """a, b and the negated primitive remainders of Euclid's algorithm on them.
+
+    The sequence stops at a zero remainder or at a constant, so its last
+    element is a nonzero scalar multiple of gcd(a, b) when b != 0.
+    """
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _prem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-x for x in r])
+    return seq
 
 
 def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[x] with positive leading coefficient."""
-    a = _primitive(a)
-    b = _primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    while b:
-        a, b = b, _frem_primitive(a, b)
-    return _primitive(a)
+    """Primitive gcd in Z[x] with positive leading coefficient, for b != 0."""
+    return _primitive(_remainders(a, b)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +394,10 @@ def _expand_in_t(p: ZPoly) -> dict[int, int]:
 def sturm_chain(f: IntPoly) -> list[IntPoly]:
     """Sturm chain of a square-free integer polynomial.
 
-    Each remainder is rescaled by a positive rational to a primitive integer
-    polynomial, which preserves all sign information.
+    Each remainder is an integer pseudo-remainder reduced to its primitive
+    part, a positive multiple of the remainder over Q, so no sign changes.
     """
-    chain = [list(f), _pderiv(f)]
-    while len(chain[-1]) > 1:
-        r = _frem_primitive(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_pneg(r))
-    return chain
+    return _remainders(list(f), _pderiv(f))
 
 
 def _variations(chain: Sequence[IntPoly], k: int, d: int) -> int:

@@ -12,9 +12,16 @@ from knotcert.certify import (
     NOT_APPLICABLE,
     certify,
 )
-from knotcert.corpus import CorpusEntry, CorpusError, certify_rows, parse_corpus
+from knotcert.corpus import (
+    CorpusEntry,
+    CorpusError,
+    certificates_to_json,
+    certify_rows,
+    parse_corpus,
+)
 from knotcert.fixtures import (
     FIGURE_EIGHT,
+    TORUS_2_5,
     TREFOIL,
     UNKNOT,
     congruent,
@@ -22,7 +29,7 @@ from knotcert.fixtures import (
     random_unimodular,
     square_knot,
 )
-from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
+from knotcert.laurent import MAX_REFINE_BITS, alexander_poly, isolate_unit_roots, to_z_poly
 from knotcert.seifert import KnotMetadata
 
 from conftest import seifert_matrices
@@ -120,6 +127,22 @@ def test_certify_selects_simple_root_witnesses():
     granny = certify(granny_knot())
     assert granny.jump_witnesses and granny.simple_root_witnesses == ()
     assert granny.verdict == NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("bits", [-1, MAX_REFINE_BITS + 1, 15000])
+def test_certify_rejects_refine_bits_outside_the_bound(bits):
+    # 15000 bits would take seconds and then fail in certificates_to_json;
+    # the check comes first, so even an invalid raw matrix raises
+    for v in (TORUS_2_5, [[1]]):
+        with pytest.raises(ValueError, match=rf"refine_bits must be in \[0, 4096\], got {bits}"):
+            certify(v, refine_bits=bits)
+    with pytest.raises(ValueError, match="refine_bits"):
+        certify_rows([CorpusEntry("t(2,5)", TORUS_2_5)], refine_bits=bits)
+
+
+def test_certify_at_the_refine_bits_bound_writes_json():
+    text = certificates_to_json([certify(TREFOIL, refine_bits=MAX_REFINE_BITS)])
+    assert json.loads(text)[0]["verdict"] == CERTIFIED
 
 
 def test_certify_rows_empty():

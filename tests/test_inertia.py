@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from knotcert.certify import certify
 from knotcert.errors import InternalInconsistencyError
 from knotcert.fixtures import (
     FIGURE_EIGHT,
@@ -24,6 +25,7 @@ from knotcert.fixtures import (
 from knotcert.inertia import (
     GaussianRational,
     UnitCirclePoint,
+    _arc_z_ranges,
     b_matrix_at,
     char_poly,
     det_sign_crosscheck,
@@ -370,6 +372,17 @@ def test_sample_point_in_z_range_is_exact_and_interior():
         assert w.re * w.re + w.im * w.im == 1
 
 
+def test_sample_between_roots_too_close_for_limit_denominator():
+    # the root nearest z = 2 lies about 1e-30 below it, so the first arc is
+    # too narrow for any u with denominator up to 1e12 and the sampler bisects
+    cert = certify([[-(10**30), 1], [0, -1]])
+    assert cert.verdict == "CERTIFIED"
+    profile = cert.profile
+    assert profile.arc_samples[0].u.denominator > 10**12
+    for point, (z_lo, z_hi) in zip(profile.arc_samples, _arc_z_ranges(profile.jump_angles)):
+        assert z_lo < point.z < z_hi
+
+
 def test_profile_rejects_witnesses_that_miss_roots():
     # an empty witness list for the trefoil puts the root inside an arc,
     # which the first-plateau assertion catches
@@ -381,8 +394,8 @@ def test_profile_rejects_witnesses_that_miss_roots():
 
 
 def test_transversality_diagnostic_trefoil_against_eigensolver():
-    ws = isolate_unit_roots(to_z_poly(alexander_poly(TREFOIL)))
-    diag = transversality_diagnostic(TREFOIL, ws, 0)
+    profile, _ = profile_of(TREFOIL)
+    diag = transversality_diagnostic(TREFOIL, profile, 0)
     # one eigenvalue crosses zero downward at phi = pi/3
     assert diag.left_eigenvalue > 0 > diag.right_eigenvalue
     assert diag.slope < 0
@@ -405,9 +418,9 @@ def test_transversality_diagnostic_trefoil_against_eigensolver():
 
 
 def test_transversality_diagnostic_interior_root_of_torus_2_5():
-    ws = isolate_unit_roots(to_z_poly(alexander_poly(TORUS_2_5)))
-    for idx in range(len(ws)):
-        diag = transversality_diagnostic(TORUS_2_5, ws, idx)
+    profile, _ = profile_of(TORUS_2_5)
+    for idx in range(len(profile.jump_angles)):
+        diag = transversality_diagnostic(TORUS_2_5, profile, idx)
         assert diag.left_eigenvalue > 0 > diag.right_eigenvalue
         assert diag.left_angle < diag.right_angle
 
@@ -415,6 +428,7 @@ def test_transversality_diagnostic_interior_root_of_torus_2_5():
 def test_transversality_diagnostic_symmetric_spectrum_takes_the_positive_eigenvalue():
     # B of K # mirror(K) has a spectrum symmetric about 0, so +-lambda tie
     v = square_knot()
-    (w,) = isolate_unit_roots(to_z_poly(alexander_poly(v)))
-    diag = transversality_diagnostic(v, [w], 0)
+    profile, _ = profile_of(v)
+    assert len(profile.jump_angles) == 1
+    diag = transversality_diagnostic(v, profile, 0)
     assert diag.left_eigenvalue > 0 and diag.right_eigenvalue > 0

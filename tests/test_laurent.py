@@ -448,8 +448,9 @@ def test_dyadic_root_of_5_2_at_right_endpoint(bits):
 
 
 def test_isolation_builds_no_fraction_per_halving(monkeypatch):
-    # Fractions are built for witnesses and sturm_count only, so their number
-    # does not grow with the hundreds of halvings more refine_bits costs
+    # chains and gcds are integer pseudo-remainders, so the only Fractions are
+    # a witness's two interval ends and two angle bounds, however many
+    # halvings refine_bits costs
     import knotcert.laurent as laurent_mod
 
     built = []
@@ -461,12 +462,15 @@ def test_isolation_builds_no_fraction_per_halving(monkeypatch):
 
     monkeypatch.setattr(laurent_mod, "Fraction", CountingFraction)
     p = to_z_poly(alexander_poly(block_sum(TORUS_2_5, granny_knot())))
-    counts = []
     for bits in (32, 320):
         built.clear()
         assert len(isolate_unit_roots(p, refine_bits=bits)) == 3
-        counts.append(len(built))
-    assert counts[0] == counts[1] > 0
+        assert len(built) == 4 * 3
+    for entry in random_corpus(60, seed=5):
+        p = to_z_poly(alexander_poly(entry.seifert))
+        built.clear()
+        witnesses = isolate_unit_roots(p)
+        assert len(built) == 4 * len(witnesses)
 
 
 def test_roots_refine_320_matches_golden(capsys):
