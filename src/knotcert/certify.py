@@ -140,7 +140,9 @@ def certify(
     yield an INVALID_INPUT certificate rather than raising.  Any failed
     internal consistency check raises InternalInconsistencyError; a
     certificate with failed checks is never emitted.  A ``refine_bits``
-    outside [0, MAX_REFINE_BITS] raises ValueError before any work.
+    outside [0, MAX_REFINE_BITS] raises ValueError before any work, which keeps
+    the refined intervals writable as JSON; only certify_rows and the CLI turn
+    an Alexander coefficient too long to write into INVALID_INPUT.
     """
     if not 0 <= refine_bits <= MAX_REFINE_BITS:
         raise ValueError(f"refine_bits must be in [0, {MAX_REFINE_BITS}], got {refine_bits}")

@@ -215,11 +215,11 @@ def _cmd_signature(rows, args) -> int:
         )
         if args.slope_diagnostics:
             for i in range(len(cert.profile.jump_angles)):
-                diag = transversality_diagnostic(entry.seifert, cert.profile, i)
-                print(
-                    f"  root {i}: eigenvalue {diag.left_eigenvalue:+.6g} -> "
-                    f"{diag.right_eigenvalue:+.6g}, slope ~ {diag.slope:+.6g}"
-                )
+                for diag in transversality_diagnostic(entry.seifert, cert.profile, i):
+                    print(
+                        f"  root {i}: eigenvalue {diag.left_eigenvalue:+.6g} -> "
+                        f"{diag.right_eigenvalue:+.6g}, slope ~ {diag.slope:+.6g}"
+                    )
 
     status = _each_entry(rows, emit)
     _write_plots(certs, args)

@@ -74,6 +74,15 @@ class CorpusError:
 
 ParsedRow = CorpusEntry | CorpusError
 
+# a C0 control character or DEL in a name could forge an output line or
+# break an SVG (XML 1.0 forbids most of them), so the row is an error that
+# does not echo the name
+_CONTROL_NAME = "name contains a control character"
+
+
+def _has_control(name: str) -> bool:
+    return min(name, default=" ") < " " or "\x7f" in name
+
 
 def _entry_from_obj(obj, row: int) -> ParsedRow:
     if not isinstance(obj, dict):
@@ -81,6 +90,8 @@ def _entry_from_obj(obj, row: int) -> ParsedRow:
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         return CorpusError(row, None, "missing or empty 'name'")
+    if _has_control(name):
+        return CorpusError(row, None, _CONTROL_NAME)
     seifert = obj.get("seifert")
     if not isinstance(seifert, list) or any(not isinstance(r, list) for r in seifert):
         return CorpusError(row, name, "'seifert' must be a matrix (list of lists)")
@@ -158,6 +169,9 @@ def _parse_csv(text: str) -> list[ParsedRow]:
             out.append(CorpusError(row, None, "need at least name and size columns"))
             continue
         name = record[0].strip()
+        if _has_control(name):
+            out.append(CorpusError(row, None, _CONTROL_NAME))
+            continue
         try:
             size = int(record[-1])
             cells = [int(c) for c in record[1:-1]]
@@ -399,8 +413,8 @@ def emit_report(certificates: Sequence[Certificate], format: str = "table") -> s
 # step plots
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x: Fraction) -> str:
+    return f"{float(x):.12g}"
 
 
 def profile_steps(
@@ -430,12 +444,22 @@ def profile_steps(
 def profile_csv(profile: SignatureProfile) -> str:
     lines = ["phi_lo,phi_hi,signature,z_lo,z_hi"]
     for phi_lo, phi_hi, sig, z_lo, z_hi in profile_steps(profile):
-        lines.append(
-            ",".join(
-                [_fmt(float(phi_lo)), _fmt(float(phi_hi)), str(sig), _fmt(float(z_lo)), _fmt(float(z_hi))]
-            )
-        )
+        lines.append(f"{_fmt(phi_lo)},{_fmt(phi_hi)},{sig},{_fmt(z_lo)},{_fmt(z_hi)}")
     return "\n".join(lines) + "\n"
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {style}/>'
+
+
+def _text(x: float, y: float, size: int, anchor: str, body: object, extra: str = "") -> str:
+    # the one place that escapes text; an int coordinate prints as is, a float to 2 places
+    x, y = (v if isinstance(v, int) else f"{v:.2f}" for v in (x, y))
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (
+        f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}" '
+        f'text-anchor="{anchor}"{extra}>{body}</text>'
+    )
 
 
 def profile_svg(profile: SignatureProfile, title: str | None = None) -> str:
@@ -460,73 +484,37 @@ def profile_svg(profile: SignatureProfile, title: str | None = None) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{width / 2:.2f}" y="16" font-family="monospace" font-size="13" '
-            f'text-anchor="middle">{title}</text>'
-        )
+        parts.append(_text(width / 2, 16, 13, "middle", title))
     axis = 'stroke="black" stroke-width="1"'
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{y_of(y_min):.2f}" x2="{width - right:.2f}" '
-        f'y2="{y_of(y_min):.2f}" {axis}/>'
-    )
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{y_of(y_min):.2f}" x2="{left:.2f}" y2="{y_of(y_max):.2f}" {axis}/>'
-    )
+    base = y_of(y_min)
+    parts.append(_line(left, base, width - right, base, axis))
+    parts.append(_line(left, base, left, y_of(y_max), axis))
     if profile.paper_angles:
         quarter_labels = ["0", "pi/8", "pi/4", "3pi/8", "pi/2"]
     else:
         quarter_labels = ["0", "pi/4", "pi/2", "3pi/4", "pi"]
-    for k in range(5):
-        phi = end * k / 4
-        xk = x_of(phi)
-        parts.append(
-            f'<line x1="{xk:.2f}" y1="{y_of(y_min):.2f}" x2="{xk:.2f}" '
-            f'y2="{y_of(y_min) + 5:.2f}" {axis}/>'
-        )
-        parts.append(
-            f'<text x="{xk:.2f}" y="{y_of(y_min) + 18:.2f}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{quarter_labels[k]}</text>'
-        )
-    sig_tick = y_min + (1 if y_min % 2 else 0)
-    for s in range(int(sig_tick), int(y_max) + 1, 2):
+    for k, label in enumerate(quarter_labels):
+        xk = x_of(end * k / 4)
+        parts += [_line(xk, base, xk, base + 5, axis), _text(xk, base + 18, 11, "middle", label)]
+    for s in range(y_min + y_min % 2, y_max + 1, 2):
         ys = y_of(s)
-        parts.append(
-            f'<line x1="{left - 4:.2f}" y1="{ys:.2f}" x2="{left:.2f}" y2="{ys:.2f}" {axis}/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.2f}" y="{ys + 4:.2f}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{s}</text>'
-        )
+        parts += [_line(left - 4, ys, left, ys, axis), _text(left - 8, ys + 4, 11, "end", s)]
     if y_min < 0 < y_max:
-        parts.append(
-            f'<line x1="{left:.2f}" y1="{y_of(0):.2f}" x2="{width - right:.2f}" '
-            f'y2="{y_of(0):.2f}" stroke="lightgray" stroke-width="1" stroke-dasharray="2,3"/>'
-        )
+        zero = 'stroke="lightgray" stroke-width="1" stroke-dasharray="2,3"'
+        parts.append(_line(left, y_of(0), width - right, y_of(0), zero))
+    riser = 'stroke="crimson" stroke-width="1" stroke-dasharray="3,3"'
     for i, (phi_lo, phi_hi, sig, _, _) in enumerate(steps):
-        y = y_of(sig)
-        parts.append(
-            f'<line x1="{x_of(float(phi_lo)):.2f}" y1="{y:.2f}" '
-            f'x2="{x_of(float(phi_hi)):.2f}" y2="{y:.2f}" stroke="crimson" stroke-width="2"/>'
-        )
+        y, xc = y_of(sig), x_of(float(phi_hi))
+        parts.append(_line(x_of(float(phi_lo)), y, xc, y, 'stroke="crimson" stroke-width="2"'))
         if i + 1 < len(steps):
-            y_next = y_of(steps[i + 1][2])
-            xc = x_of(float(phi_hi))
-            parts.append(
-                f'<line x1="{xc:.2f}" y1="{y:.2f}" x2="{xc:.2f}" y2="{y_next:.2f}" '
-                f'stroke="crimson" stroke-width="1" stroke-dasharray="3,3"/>'
-            )
+            parts.append(_line(xc, y, xc, y_of(steps[i + 1][2]), riser))
     angle_name = "alpha" if profile.paper_angles else "phi"
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 6:.2f}" '
-        f'font-family="monospace" font-size="12" text-anchor="middle">{angle_name}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{(top + height - bottom) / 2:.2f}" font-family="monospace" '
-        f'font-size="12" text-anchor="middle" transform="rotate(-90 14 '
-        f'{(top + height - bottom) / 2:.2f})">signature</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    mid = (top + height - bottom) / 2
+    parts += [
+        _text((left + width - right) / 2, height - 6.0, 12, "middle", angle_name),
+        _text(14, mid, 12, "middle", "signature", f' transform="rotate(-90 14 {mid:.2f})"'),
+    ]
+    return "\n".join(parts) + "\n</svg>\n"
 
 
 def emit_profile_plot(

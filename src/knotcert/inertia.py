@@ -467,14 +467,15 @@ class SlopeDiagnostic:
         )
 
 
-def _eigenvalue_nearest_zero(h: CMatrix) -> float:
-    """Smallest-magnitude eigenvalue of a nonsingular Hermitian matrix.
+def _eigenvalues_nearest_zero(h: CMatrix, m: int) -> list[float]:
+    """The m smallest-magnitude eigenvalues of a nonsingular Hermitian matrix.
 
-    The characteristic polynomial is scaled to integers and its variable to
+    Counted with multiplicity and returned in ascending order.  The
+    characteristic polynomial is scaled to integers and its variable to
     z = x / 2^(e-1), with 2^e above the Cauchy bound, so every eigenvalue x
     has z strictly inside (-2, 2).  The package's one Sturm isolator,
     ``isolate_unit_roots``, then encloses each eigenvalue to width 2^-80 in
-    x, and the midpoint of the enclosure nearest zero is rounded to float.
+    x, and each enclosure's midpoint is rounded to float.
     """
     coeffs = char_poly(h)
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -483,36 +484,38 @@ def _eigenvalue_nearest_zero(h: CMatrix) -> float:
     e = (2 + max(map(abs, ints)) // ints[-1]).bit_length()
     scaled = ZPoly(c << (i * (e - 1)) for i, c in enumerate(ints))
     roots = isolate_unit_roots(scaled, refine_bits=79 + e)
-    # a spectrum symmetric about 0, as for K # mirror(K), ties: take the positive one
-    nearest = min(roots, key=lambda w: (abs(w.z_mid), -w.z_mid))
-    lo, hi = nearest.interval
-    return float((lo + hi) * 2 ** (e - 2))
+    values = [float(sum(w.interval) * 2 ** (e - 2)) for w in roots for _ in range(w.multiplicity)]
+    return sorted(sorted(values, key=abs)[:m])
 
 
 def transversality_diagnostic(
     v: SeifertMatrix,
     profile: SignatureProfile,
     jump_index: int,
-) -> SlopeDiagnostic:
-    """Finite-difference estimate of the vanishing eigenvalue's slope at a jump.
+) -> tuple[SlopeDiagnostic, ...]:
+    """Finite-difference estimates of the vanishing eigenvalues' slopes at a jump.
 
     Jumps are numbered by increasing angle, as in ``profile.jump_angles``.
     Samples within 2^-20 of the isolating interval on both sides (clamped to
-    the plateau arcs next to it), finds the eigenvalue nearest zero on each
-    side, and differences against the sample angles.  Purely informational;
-    no verdict consumes it.
+    the plateau arcs next to it), takes the m eigenvalues nearest zero on each
+    side, m the root's multiplicity, and differences against the sample
+    angles: one diagnostic per branch.  Branches that vanish together swap
+    order across the root, so the left values in ascending order pair with
+    the right values in descending order.  Purely informational; no verdict
+    consumes it.
     """
-    lo, hi = profile.jump_angles[jump_index].interval
+    root = profile.jump_angles[jump_index]
+    lo, hi = root.interval
     arcs = _arc_z_ranges(profile.jump_angles)
     delta = Fraction(1, 2**20)
     # angle-left of the root means larger z
     left_point = sample_point_in_z_range(hi, min(hi + delta, arcs[jump_index][1]))
     right_point = sample_point_in_z_range(max(lo - delta, arcs[jump_index + 1][0]), lo)
-    return SlopeDiagnostic(
-        left_angle=left_point.angle,
-        right_angle=right_point.angle,
-        left_eigenvalue=_eigenvalue_nearest_zero(b_matrix_at(v, left_point)),
-        right_eigenvalue=_eigenvalue_nearest_zero(b_matrix_at(v, right_point)),
+    lefts = _eigenvalues_nearest_zero(b_matrix_at(v, left_point), root.multiplicity)
+    rights = _eigenvalues_nearest_zero(b_matrix_at(v, right_point), root.multiplicity)
+    return tuple(
+        SlopeDiagnostic(left_point.angle, right_point.angle, left, right)
+        for left, right in zip(lefts, reversed(rights))
     )
 
 

@@ -5,7 +5,8 @@
 ``random_corpus(50, seed=17)``, and ``tests/data/paper_angles_sha256.json``
 that of every plot ``report --paper-angles --plot`` writes for the same
 corpus.  A refactor that changes any byte of the certificate JSON, the
-report JSON or a plot fails here, naming the file.
+report JSON or a plot fails here, naming the file.  Every SVG of the run
+must also parse as XML.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 from knotcert.cli import main
 from knotcert.corpus import write_corpus
@@ -82,3 +84,11 @@ def test_paper_angle_plots_match_manifest(tmp_path):
     assert len(expected) == 2 * 50
     differing = _differing(expected, actual)
     assert not differing, f"paper-angle plots differ from the manifest: {differing}"
+
+
+def test_criterion_7_svgs_parse_as_xml(tmp_path):
+    artifact_hashes(tmp_path)
+    svgs = sorted((tmp_path / "out" / "plots").glob("*.svg"))
+    assert len(svgs) == 50
+    for svg in svgs:
+        assert ElementTree.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg", svg.name

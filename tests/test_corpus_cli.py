@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_parse_jsonl_keeps_unicode_line_separators_in_strings(tmp_path):
     rows = parse_corpus(p)
     assert all(isinstance(r, CorpusEntry) for r in rows)
     assert [(r.row, r.name) for r in rows] == [(i, o["name"]) for i, o in enumerate(objs)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
+@pytest.mark.parametrize("name", ["nul\x00x", "tab\tx", "us\x1fx", "del\x7fx"])
+def test_parse_rejects_a_name_with_a_control_character(tmp_path, fmt, name):
+    # the error row does not echo the name, which could forge an output line
+    p = tmp_path / f"c.{fmt}"
+    objs = [dict(TREFOIL_OBJ, name=name), TREFOIL_OBJ]
+    if fmt == "json":
+        p.write_text(json.dumps(objs), encoding="utf-8")
+    elif fmt == "jsonl":
+        p.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+    else:
+        p.write_text("".join(f'"{o["name"]}",-1,1,0,-1,2\n' for o in objs), encoding="utf-8")
+    bad, good = parse_corpus(p)
+    assert bad == CorpusError(0, None, "name contains a control character")
+    assert good == CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))
 
 
 def test_parse_rejects_a_seifert_value_that_is_not_a_matrix(tmp_path):
@@ -645,6 +663,34 @@ def test_cli_plot_names_that_collide_get_numbered_stems(tmp_path, capsys):
         plots = tmp_path / f"plots{i}"
         assert main(["report", "--input", str(p), "--plot", str(plots)]) == 0
         assert sorted(f.stem for f in plots.glob("*.svg")) == expected
+
+
+def test_cli_name_with_a_line_break_cannot_forge_an_output_line(tmp_path, capsys):
+    # the figure-eight is NOT_APPLICABLE; its name carries a CERTIFIED table row
+    forged = "figure8  1      t^-1 - 3 + t  2      2       [-2]   -2       CERTIFIED\nfig"
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([{"name": forged, "seifert": [[1, 1], [0, -1]]}]))
+    error = "row 0 (?): name contains a control character"
+    assert main(["validate", "--input", str(p)]) == 1
+    assert capsys.readouterr().out == f"ERROR {error}\n"
+    assert main(["report", "--input", str(p)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and "CERTIFIED" not in "\n".join(out)
+    assert out[2].startswith("row 0  ") and error in out[2] and out[2].endswith("INVALID_INPUT")
+
+
+def test_cli_plot_titles_are_escaped(tmp_path, capsys):
+    names = ['a<b & "c"', "x</text><script>alert(1)</script><text>"]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([dict(TREFOIL_OBJ, name=n) for n in names]))
+    plots = tmp_path / "plots"
+    assert main(["report", "--input", str(p), "--plot", str(plots)]) == 0
+    titles = []
+    for svg in sorted(plots.glob("*.svg")):
+        root = ElementTree.parse(svg).getroot()
+        assert not [e for e in root.iter() if e.tag.endswith("script")]
+        titles.append(next(e.text for e in root.iter() if e.get("y") == "16"))
+    assert sorted(titles) == sorted(names)
 
 
 def test_cli_rejects_boolean_matrix_entries(tmp_path, capsys):

@@ -395,7 +395,7 @@ def test_profile_rejects_witnesses_that_miss_roots():
 
 def test_transversality_diagnostic_trefoil_against_eigensolver():
     profile, _ = profile_of(TREFOIL)
-    diag = transversality_diagnostic(TREFOIL, profile, 0)
+    (diag,) = transversality_diagnostic(TREFOIL, profile, 0)
     # one eigenvalue crosses zero downward at phi = pi/3
     assert diag.left_eigenvalue > 0 > diag.right_eigenvalue
     assert diag.slope < 0
@@ -420,15 +420,29 @@ def test_transversality_diagnostic_trefoil_against_eigensolver():
 def test_transversality_diagnostic_interior_root_of_torus_2_5():
     profile, _ = profile_of(TORUS_2_5)
     for idx in range(len(profile.jump_angles)):
-        diag = transversality_diagnostic(TORUS_2_5, profile, idx)
+        (diag,) = transversality_diagnostic(TORUS_2_5, profile, idx)
         assert diag.left_eigenvalue > 0 > diag.right_eigenvalue
         assert diag.left_angle < diag.right_angle
 
 
-def test_transversality_diagnostic_symmetric_spectrum_takes_the_positive_eigenvalue():
-    # B of K # mirror(K) has a spectrum symmetric about 0, so +-lambda tie
+def test_transversality_diagnostic_square_knot_gives_both_branches():
+    # B of K # mirror(K) has a spectrum symmetric about 0: at the double root
+    # the trefoil's branch crosses downward and its mirror's upward
     v = square_knot()
     profile, _ = profile_of(v)
-    assert len(profile.jump_angles) == 1
-    diag = transversality_diagnostic(v, profile, 0)
-    assert diag.left_eigenvalue > 0 and diag.right_eigenvalue > 0
+    (root,) = profile.jump_angles
+    assert root.multiplicity == 2
+    up, down = transversality_diagnostic(v, profile, 0)
+    assert up.slope > 0 > down.slope
+    assert math.isclose(up.slope, -down.slope, rel_tol=1e-3)
+    for diag in (up, down):
+        assert diag.left_angle < diag.right_angle
+    for phi, lams in (
+        (up.left_angle, [up.left_eigenvalue, down.left_eigenvalue]),
+        (up.right_angle, [down.right_eigenvalue, up.right_eigenvalue]),
+    ):
+        point = UnitCirclePoint(Fraction(math.tan(phi / 2)).limit_denominator(10**9))
+        b = [[complex(float(x.re), float(x.im)) for x in row] for row in b_matrix_at(v, point)]
+        ev = np.linalg.eigvalsh(np.array(b))
+        assert lams == sorted(lams)
+        assert np.allclose(sorted(sorted(ev, key=abs)[:2]), lams, rtol=1e-6, atol=1e-12)
