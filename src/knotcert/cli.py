@@ -12,9 +12,10 @@ load corpus, errors, laurent and seifert; signature, certify and report
 also load certify and inertia, which the command functions below import.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 input or
 validation errors (a missing, unreadable or non-UTF-8 --input, an --out or
---plot path that cannot be written, or an Alexander coefficient too long to
-write as decimal text, included), 2 failed internal consistency check (in
-signature, certify or report), any other package error, or a bad option.
+--plot path that cannot be written, or an Alexander coefficient or root
+interval endpoint too long to write as decimal text, included), 2 failed
+internal consistency check (in signature, certify or report), any other
+package error, or a bad option.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from .corpus import (
     FORMATS,
     CorpusError,
-    _coefficient_error,
+    _unwritable,
     certificates_to_json,
     certify_rows,
     emit_profile_plot,
@@ -151,7 +152,7 @@ def _cmd_validate(rows, args) -> int:
 def _cmd_alexander(rows, args) -> int:
     def emit(entry):
         delta = alexander_poly(entry.seifert)
-        error = _coefficient_error(delta)
+        error = _unwritable("Alexander coefficient", delta.coeffs.values())
         if error is not None:
             return CorpusError(entry.row, entry.name, error)
         print(f"{entry.name}: {delta}")
@@ -163,13 +164,16 @@ def _cmd_roots(rows, args) -> int:
     def emit(entry):
         p_z = to_z_poly(alexander_poly(entry.seifert))
         witnesses = isolate_unit_roots(p_z, refine_bits=args.refine_bits)
-        print(f"{entry.name}: {len(witnesses)} unit root(s)")
-        for w in witnesses:
-            lo, hi = w.angle_bounds
-            print(
-                f"  z in ({w.interval[0]}, {w.interval[1]}], multiplicity {w.multiplicity},"
-                f" phi in [{float(lo):.6f}, {float(hi):.6f}]"
-            )
+        error = _unwritable("root interval endpoint", (x for w in witnesses for x in w.interval))
+        if error is not None:
+            return CorpusError(entry.row, entry.name, error)
+        # format the whole entry first, so a failure prints none of it
+        lines = [f"{entry.name}: {len(witnesses)} unit root(s)"] + [
+            f"  z in ({w.interval[0]}, {w.interval[1]}], multiplicity {w.multiplicity},"
+            f" phi in [{float(w.angle_bounds[0]):.6f}, {float(w.angle_bounds[1]):.6f}]"
+            for w in witnesses
+        ]
+        print("\n".join(lines))
 
     return _each_entry(rows, emit)
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
 from .laurent import SymmetricLaurentPoly
@@ -317,7 +317,7 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
 
     Entries carry the matrix validated at parse time, so none is validated again.
     An entry whose Alexander coefficients are too long to write (see
-    _coefficient_error) becomes an INVALID_INPUT record too.
+    _unwritable) becomes an INVALID_INPUT record too.
     InternalInconsistencyError propagates: it signals a bug in this software,
     not a property of the input.
     """
@@ -329,7 +329,7 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
             out.append(_invalid_certificate(KnotMetadata(), row.name or f"row {row.row}", str(row)))
             continue
         cert = certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
-        error = _coefficient_error(cert.alexander)
+        error = _unwritable("Alexander coefficient", cert.alexander.coeffs.values())
         if error is not None:
             cert = _invalid_certificate(
                 row.metadata(), row.name, str(CorpusError(row.row, row.name, error))
@@ -338,18 +338,19 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
     return out
 
 
-def _coefficient_error(delta: SymmetricLaurentPoly) -> str | None:
-    """Why delta cannot be written as decimal text, or None if it can.
+def _unwritable(what: str, numbers: Iterable[int | Fraction]) -> str | None:
+    """Why one of numbers cannot be written as decimal text, or None if all can.
 
-    A valid matrix can have Alexander coefficients longer than the
-    interpreter's int-to-str digit limit (4300 digits by default, absent on
-    older Pythons); the limit is found by trying the conversion.
+    A valid matrix can give Alexander coefficients or root interval endpoints
+    longer than the interpreter's int-to-str digit limit (4300 digits by
+    default, absent on older Pythons); the limit is found by trying the
+    conversion.  ``what`` names the numbers in the message.
     """
     try:
-        for c in delta.coeffs.values():
-            str(c)
+        for x in numbers:
+            str(x)
     except ValueError as exc:
-        return f"Alexander coefficient too long to write: {exc}"
+        return f"{what} too long to write: {exc}"
     return None
 
 

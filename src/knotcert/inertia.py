@@ -8,8 +8,10 @@ is evaluable at any Gaussian-rational circle point.
 
 Sampling points are taken in tan-half-angle form
 w = ((1-u^2) + 2u*i)/(1+u^2) with u rational and positive, which sweeps the
-open upper semicircle (phi in (0, pi)) through Gaussian-rational points; the
-endpoint w = -1 (phi = pi) is the integer matrix B(-1) = 2(V + V^T).
+open upper semicircle (phi in (0, pi)) through Gaussian-rational points.
+Each plateau, and w = -1 (phi = pi) as (p, q) = (1, 0), is evaluated on the
+integer form H = p(V + V^T) - iq(V - V^T) at u = p/q: B(w) = cH with
+c = 2p/(p^2+q^2) > 0, so B and H share their inertia and det B = c^n det H.
 Inertia of a Hermitian Gaussian-rational matrix is read off exactly from its
 characteristic polynomial: a Hermitian characteristic polynomial is
 real-rooted, so Descartes' rule counts positive and negative eigenvalues
@@ -39,7 +41,7 @@ from typing import Sequence
 
 from .errors import InternalInconsistencyError
 from .laurent import UnitRootWitness, ZPoly, isolate_unit_roots
-from .seifert import SeifertMatrix, symmetrized_form
+from .seifert import SeifertMatrix
 
 
 @dataclass(frozen=True)
@@ -58,23 +60,14 @@ class GaussianRational:
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def scale(self, s: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * s, self.im * s)
 
 
 _ZERO = GaussianRational(Fraction(0))
@@ -252,18 +245,26 @@ def _inertia_and_det(h: CMatrix) -> tuple[int, int, int, Fraction]:
 # the Hermitian form B
 
 
+def _hermitian_h(v: SeifertMatrix, p: int, q: int) -> tuple[Fraction, CMatrix]:
+    """c and H with B(w) = cH at u = p/q, as 1 - w = 2p(p - iq)/(p^2+q^2) there."""
+    e = v.entries
+    return Fraction(2 * p, p * p + q * q), [
+        [GaussianRational(Fraction(p * (x + y)), Fraction(q * (y - x))) for x, y in zip(row, col)]
+        for row, col in zip(e, zip(*e))
+    ]
+
+
+def _plateau(v: SeifertMatrix, p: int, q: int) -> tuple[int, int, Fraction]:
+    """Signature, zero count and det B = c^n det H of B(w) at u = p/q, evaluated on H."""
+    c, h = _hermitian_h(v, p, q)
+    pos, neg, zeros, det_h = _inertia_and_det(h)
+    return pos - neg, zeros, c**v.size * det_h
+
+
 def b_matrix_at(v: SeifertMatrix, point: UnitCirclePoint) -> CMatrix:
     """B(w) = (1-w)V + (1-conj(w))V^T at a Gaussian-rational circle point."""
-    n = v.size
-    a = GaussianRational(Fraction(1)) - point.omega
-    abar = a.conjugate()
-    return [
-        [
-            a.scale(Fraction(v.entries[i][j])) + abar.scale(Fraction(v.entries[j][i]))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    c, h = _hermitian_h(v, point.u.numerator, point.u.denominator)
+    return [[GaussianRational(c * x.re, c * x.im) for x in row] for row in h]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +345,11 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
     dets: list[Fraction] = []
     for z_lo, z_hi in _arc_z_ranges(by_angle):
         point = sample_point_in_z_range(z_lo, z_hi)
-        p, n, zeros, det = _inertia_and_det(b_matrix_at(v, point))
+        sig, zeros, det = _plateau(v, point.u.numerator, point.u.denominator)
         if zeros != 0:
             raise InternalInconsistencyError(
                 f"singular sample in root-free z range ({z_lo}, {z_hi})"
             )
-        sig = p - n
         if sig % 2 != 0:
             raise InternalInconsistencyError("odd plateau signature")
         plateaus.append(sig)
@@ -361,11 +361,10 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
             f"signature near w = 1 is {plateaus[0]}, expected 0"
         )
 
-    b_minus_one = _to_cmatrix([[2 * x for x in row] for row in symmetrized_form(v)])
-    p, n, zeros, det_m1 = _inertia_and_det(b_minus_one)
+    sig_m1, zeros, det_m1 = _plateau(v, 1, 0)
     if zeros != 0:
         raise InternalInconsistencyError("B(-1) singular; Delta(-1) must be odd")
-    if p - n != plateaus[-1]:
+    if sig_m1 != plateaus[-1]:
         raise InternalInconsistencyError(
             "signature at w = -1 disagrees with the final plateau"
         )
@@ -373,7 +372,7 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
     return SignatureProfile(
         jump_angles=tuple(by_angle),
         plateau_values=tuple(plateaus),
-        value_at_minus_one=p - n,
+        value_at_minus_one=sig_m1,
         genus=v.genus,
         arc_samples=tuple(samples),
         arc_dets=tuple(dets),
@@ -467,6 +466,14 @@ class SlopeDiagnostic:
         )
 
 
+def _float(x: Fraction) -> float:
+    """float(x), or the float's own +-inf where x is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _eigenvalues_nearest_zero(h: CMatrix, m: int) -> list[float]:
     """The m smallest-magnitude eigenvalues of a nonsingular Hermitian matrix.
 
@@ -475,7 +482,7 @@ def _eigenvalues_nearest_zero(h: CMatrix, m: int) -> list[float]:
     z = x / 2^(e-1), with 2^e above the Cauchy bound, so every eigenvalue x
     has z strictly inside (-2, 2).  The package's one Sturm isolator,
     ``isolate_unit_roots``, then encloses each eigenvalue to width 2^-80 in
-    x, and each enclosure's midpoint is rounded to float.
+    x, and each enclosure's midpoint is rounded to float (+-inf past its range).
     """
     coeffs = char_poly(h)
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -484,7 +491,7 @@ def _eigenvalues_nearest_zero(h: CMatrix, m: int) -> list[float]:
     e = (2 + max(map(abs, ints)) // ints[-1]).bit_length()
     scaled = ZPoly(c << (i * (e - 1)) for i, c in enumerate(ints))
     roots = isolate_unit_roots(scaled, refine_bits=79 + e)
-    values = [float(sum(w.interval) * 2 ** (e - 2)) for w in roots for _ in range(w.multiplicity)]
+    values = [_float(sum(w.interval) * 2 ** (e - 2)) for w in roots for _ in range(w.multiplicity)]
     return sorted(sorted(values, key=abs)[:m])
 
 

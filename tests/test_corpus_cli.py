@@ -853,6 +853,39 @@ def test_cli_over_long_alexander_coefficient_is_a_row_error(tmp_path, capsys):
     assert rows[1]["error"].startswith(prefix)
 
 
+def test_cli_roots_over_long_endpoint_is_a_row_error(tmp_path, capsys):
+    # with a = 10^(L/2), L the digit limit, the isolating interval of the one
+    # unit root needs endpoints past the limit; nothing of the row is printed
+    a = 10 ** (_int_digit_limit() // 2)
+    p = tmp_path / "big.json"
+    big = {"name": "big", "seifert": [[a, 1], [0, a]]}
+    p.write_text(json.dumps([TREFOIL_OBJ, big, TREFOIL_OBJ]))
+
+    assert main(["roots", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == lines[3] == "trefoil: 1 unit root(s)"
+    assert lines[1] == lines[4] and lines[1].startswith("  z in (")
+    assert lines[2].startswith(
+        "ERROR row 1 (big): root interval endpoint too long to write: Exceeds the limit"
+    )
+    assert len(lines) == 5 and captured.err == ""
+
+
+def test_cli_slope_eigenvalue_past_the_float_range_prints_inf(tmp_path, capsys):
+    # at a = 10^400 the larger eigenvalue of B, and on the far side of the
+    # root also the one nearest zero, lies past the float range
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps([{"name": "big", "seifert": [[10**400, 1], [0, 10**400]]}]))
+    assert main(["signature", "--slope-diagnostics", "--input", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "big: plateaus [0, 2], sig(-1) = 2, jumps: +2 at phi ~ 0.000000",
+        "  root 0: eigenvalue -0 -> +inf, slope ~ +inf",
+    ]
+    assert captured.err == ""
+
+
 def _int_digit_limit() -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

@@ -14,7 +14,10 @@ from knotcert.certify import certify
 from knotcert.errors import InternalInconsistencyError
 from knotcert.fixtures import (
     FIGURE_EIGHT,
+    KNOT_5_2,
+    STEVEDORE,
     TORUS_2_5,
+    TORUS_2_7,
     TREFOIL,
     UNKNOT,
     congruent,
@@ -57,12 +60,13 @@ def p_of(v: SeifertMatrix):
 
 def test_b_matrix_at_i_is_closed_form():
     b = b_matrix_at(TREFOIL, UnitCirclePoint(Fraction(1)))  # w = i
-    one_minus_i = GaussianRational(Fraction(1), Fraction(-1))
-    one_plus_i = GaussianRational(Fraction(1), Fraction(1))
+    # (1 - i)V + (1 + i)V^T, entry by entry
     expected = [
         [
-            one_minus_i.scale(Fraction(TREFOIL.entries[i][j]))
-            + one_plus_i.scale(Fraction(TREFOIL.entries[j][i]))
+            GaussianRational(
+                Fraction(TREFOIL.entries[i][j] + TREFOIL.entries[j][i]),
+                Fraction(TREFOIL.entries[j][i] - TREFOIL.entries[i][j]),
+            )
             for j in range(2)
         ]
         for i in range(2)
@@ -72,6 +76,27 @@ def test_b_matrix_at_i_is_closed_form():
     assert b[0][0] == GaussianRational(Fraction(-2))
     assert b[0][1] == GaussianRational(Fraction(1), Fraction(-1))
     assert b[1][0] == GaussianRational(Fraction(1), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "v",
+    [UNKNOT, TREFOIL, FIGURE_EIGHT, KNOT_5_2, STEVEDORE, TORUS_2_5, TORUS_2_7, granny_knot()],
+    ids=lambda v: v.name,
+)
+@pytest.mark.parametrize("u", [Fraction(1, 3), Fraction(3), Fraction(7, 2), Fraction(1, 10**9)])
+def test_b_matrix_at_is_the_defining_form(v, u):
+    # (1 - w)V + (1 - conj(w))V^T with w taken from the point itself
+    point = UnitCirclePoint(u)
+    a_re, a_im = 1 - point.omega.re, -point.omega.im
+    e = v.entries
+    expected = [
+        [
+            GaussianRational(a_re * (e[i][j] + e[j][i]), a_im * (e[i][j] - e[j][i]))
+            for j in range(v.size)
+        ]
+        for i in range(v.size)
+    ]
+    assert b_matrix_at(v, point) == expected
 
 
 def test_b_matrix_empty():
