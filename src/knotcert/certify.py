@@ -19,6 +19,7 @@ from .errors import InternalInconsistencyError, ValidationError
 from .inertia import (
     JumpReport,
     SignatureProfile,
+    _arc_z_ranges,
     det_sign_crosscheck,
     jump_reports,
     signature_profile,
@@ -27,6 +28,7 @@ from .laurent import (
     MAX_REFINE_BITS,
     SymmetricLaurentPoly,
     UnitRootWitness,
+    _root_free,
     alexander_poly,
     isolate_unit_roots,
     to_z_poly,
@@ -132,6 +134,7 @@ def certify(
     *,
     name: str | None = None,
     refine_bits: int = 32,
+    delta: SymmetricLaurentPoly | None = None,
 ) -> Certificate:
     """Run the full pipeline on a Seifert matrix and emit a certificate.
 
@@ -139,10 +142,13 @@ def certify(
     matrix; raw inputs failing validation, non-integer entries included,
     yield an INVALID_INPUT certificate rather than raising.  Any failed
     internal consistency check raises InternalInconsistencyError; a
-    certificate with failed checks is never emitted.  A ``refine_bits``
-    outside [0, MAX_REFINE_BITS] raises ValueError before any work, which keeps
-    the refined intervals writable as JSON; only certify_rows and the CLI turn
-    an Alexander coefficient too long to write into INVALID_INPUT.
+    certificate with failed checks is never emitted.  The first check, right
+    after isolation, proves that no plateau arc holds a root of P.  A
+    ``refine_bits`` outside [0, MAX_REFINE_BITS] raises ValueError before any
+    work, which keeps the refined intervals writable as JSON; only
+    certify_rows and the CLI turn an Alexander coefficient too long to write
+    into INVALID_INPUT.  ``delta`` is alexander_poly(v) when the caller has
+    computed it already.
     """
     if not 0 <= refine_bits <= MAX_REFINE_BITS:
         raise ValueError(f"refine_bits must be in [0, {MAX_REFINE_BITS}], got {refine_bits}")
@@ -155,9 +161,18 @@ def certify(
             return _invalid_certificate(meta, name, f"{type(exc).__name__}: {exc}")
     label = name if name is not None else matrix.name
 
-    delta = alexander_poly(matrix)
+    if delta is None:
+        delta = alexander_poly(matrix)
     p_z = to_z_poly(delta)
     witnesses = isolate_unit_roots(p_z, refine_bits=refine_bits)
+    # a root that isolation lost would leave an arc with a root of P in it;
+    # the witnesses come sorted by z, and the arcs go by angle
+    for lo, hi in _arc_z_ranges(witnesses[::-1]):
+        if not _root_free(p_z.coeffs, lo, hi):
+            raise InternalInconsistencyError(
+                f"no proof that P has no root in the plateau arc z in ({lo}, {hi})"
+                f" for {label or 'input'}"
+            )
     profile = signature_profile(matrix, witnesses)
     jumps = jump_reports(profile)
 

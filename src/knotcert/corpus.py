@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
-from .laurent import SymmetricLaurentPoly
+from .laurent import SymmetricLaurentPoly, alexander_poly
 from .seifert import KnotMetadata, SeifertMatrix, validate
 
 if TYPE_CHECKING:
@@ -317,7 +317,8 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
 
     Entries carry the matrix validated at parse time, so none is validated again.
     An entry whose Alexander coefficients are too long to write (see
-    _unwritable) becomes an INVALID_INPUT record too.
+    _unwritable) becomes an INVALID_INPUT record too, before its roots are
+    isolated; the others pass their Alexander polynomial on to ``certify``.
     InternalInconsistencyError propagates: it signals a bug in this software,
     not a property of the input.
     """
@@ -328,12 +329,15 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
         if isinstance(row, CorpusError):
             out.append(_invalid_certificate(KnotMetadata(), row.name or f"row {row.row}", str(row)))
             continue
-        cert = certify(row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits)
-        error = _unwritable("Alexander coefficient", cert.alexander.coeffs.values())
+        delta = alexander_poly(row.seifert)
+        error = _unwritable("Alexander coefficient", delta.coeffs.values())
         if error is not None:
-            cert = _invalid_certificate(
-                row.metadata(), row.name, str(CorpusError(row.row, row.name, error))
-            )
+            message = str(CorpusError(row.row, row.name, error))
+            out.append(_invalid_certificate(row.metadata(), row.name, message))
+            continue
+        cert = certify(
+            row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits, delta=delta
+        )
         out.append(cert)
     return out
 

@@ -28,6 +28,9 @@ Conventions used throughout:
   ``UnitRootWitness``.
   Isolating intervals are half-open (lo, hi], so a dyadic root hit by
   bisection sits at the right endpoint.
+* ``_root_free`` proves an open interval free of roots by Descartes' rule
+  of signs, sharing no code with the Sturm path, so a root that isolation
+  lost cannot pass unnoticed.
 """
 
 from __future__ import annotations
@@ -411,6 +414,52 @@ def sturm_count(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, *_num_den(lo)) - _variations(chain, *_num_den(hi))
 
 
+def _descartes_variations(a: Sequence[int], ka: int, kb: int, d: int) -> int:
+    """Sign variations of Q(x) = (d + d*x)^n * a((ka + kb*x) / (d + d*x)), n = deg a.
+
+    x -> (ka + kb*x) / (d + d*x) maps (0, oo) onto (ka/d, kb/d), so by
+    Descartes' rule of signs 0 variations prove that a has no root there and
+    1 variation proves one.  Q = sum of c_i (ka + kb*x)^i (d + d*x)^(n-i) is
+    built by homogeneous Horner; zero coefficients, from roots at the ends,
+    are skipped.
+    """
+    q, m = [a[-1]], [1]
+    for c in reversed(a[:-1]):
+        q = [ka * x + kb * y for x, y in zip(q + [0], [0] + q)]
+        m = [d * (x + y) for x, y in zip(m + [0], [0] + m)]
+        q = [x + c * y for x, y in zip(q, m)]
+    signs = [x > 0 for x in q if x]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _root_free(a: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether the nonzero a has no root in the open interval (lo, hi), lo < hi <= lo + 4.
+
+    Decided by Descartes' rule of signs with bisection (Collins-Akritas),
+    sharing no code with the Sturm path: 0 variations prove a piece
+    root-free; 1 variation, or a root at a bisection midpoint, proves a root.
+    Distinct roots of a square-free factor of a are more than
+    sqrt(3) n^(-(n+2)/2) ||a||_2^(1-n) apart (Mahler), so a piece narrower
+    than that has no non-real root in the disc on it as diameter; 2 or more
+    variations there mean real roots in the piece, and bisection stops at
+    the depth where pieces are that narrow.
+    """
+    n = len(a) - 1
+    max_depth = 4 + n * n.bit_length() + n * (max(map(abs, a)).bit_length() + n.bit_length())
+    d = math.lcm(lo.denominator, hi.denominator)
+    stack = [(int(lo * d), int(hi * d), d, 0)]
+    while stack:
+        ka, kb, d, depth = stack.pop()
+        variations = _descartes_variations(a, ka, kb, d)
+        if variations == 0:
+            continue
+        km = ka + kb
+        if variations == 1 or depth == max_depth or _sign_int(a, km, 2 * d) == 0:
+            return False
+        stack += [(2 * ka, km, 2 * d, depth + 1), (km, 2 * kb, 2 * d, depth + 1)]
+    return True
+
+
 def _isolate_squarefree(chain: Sequence[IntPoly], ka: int, kb: int, d: int):
     """Bisect (ka/d, kb/d] into half-open intervals (ka'/d', kb'/d'] with one root each.
 
@@ -478,8 +527,10 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
     intervals are halved on r_0 until they are pairwise disjoint with
     positive gaps.  A root's multiplicity is then the number of r_i that
     change sign or vanish over its interval.  Each interval is refined by
-    halving on r_(m-1) until it lies strictly inside (-2, 2) and is no wider
-    than 2^-refine_bits.  Witnesses are sorted by z ascending.
+    halving on the Yun factor r_(m-1) / r_m of its multiplicity m (r_(m-1)
+    at the top multiplicity), whose only root in the cell is that root,
+    until it lies strictly inside (-2, 2) and is no wider than
+    2^-refine_bits.  Witnesses are sorted by z ascending.
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -512,12 +563,14 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
                 w2[:] = _halve(r0, *w2)
                 clean = False
 
+    # the Yun factor r_(m-1) / r_m vanishes exactly at the roots of multiplicity m
+    factors = [_pdivexact(r, s) for r, s in zip(radicals, radicals[1:])] + radicals[-1:]
     out = []
     for ka, kb, d, _ in cells:
         # no root of P sits at ka/d now, so r_i changes sign over the cell or
         # vanishes at kb/d exactly when the root has multiplicity > i
         mult = sum(1 for r in radicals if _sign_int(r, ka, d) * _sign_int(r, kb, d) <= 0)
-        f = radicals[mult - 1]
+        f = factors[mult - 1]
         s_b = _sign_int(f, kb, d)
         # the width (kb - ka)/d halves with each step because kb - ka is kept
         wide = (kb - ka) << refine_bits

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import itertools
 import json
 import random
 
@@ -19,18 +21,23 @@ from knotcert.corpus import (
     certify_rows,
     parse_corpus,
 )
+from knotcert.errors import InternalInconsistencyError
 from knotcert.fixtures import (
     FIGURE_EIGHT,
+    KNOT_5_2,
+    STEVEDORE,
     TORUS_2_5,
+    TORUS_2_7,
     TREFOIL,
     UNKNOT,
     congruent,
     granny_knot,
     random_unimodular,
     square_knot,
+    torus_knot,
 )
 from knotcert.laurent import MAX_REFINE_BITS, alexander_poly, isolate_unit_roots, to_z_poly
-from knotcert.seifert import KnotMetadata
+from knotcert.seifert import KnotMetadata, block_sum, mirror
 
 from conftest import seifert_matrices
 
@@ -190,3 +197,34 @@ def test_certified_implies_simple_witness_with_jump_two(v):
             j for j in cert.jump_witnesses if j.root.multiplicity == 1
         ]
         assert all(abs(j.jump) == 2 for j in simple_jumps)
+
+
+NAMED = (TREFOIL, FIGURE_EIGHT, KNOT_5_2, STEVEDORE, TORUS_2_5, TORUS_2_7)
+SUMS = tuple(
+    block_sum(a, twin(b))
+    for a, b in itertools.combinations_with_replacement(NAMED, 2)
+    for twin in (lambda v: v, mirror)
+)
+# the named fixtures, T(3,4) and the two-piece sums that have a unit root
+DROP_KNOTS = [
+    v for v in NAMED + (torus_knot(3, 4),) + SUMS if isolate_unit_roots(to_z_poly(alexander_poly(v)))
+]
+
+
+@pytest.mark.parametrize("v", DROP_KNOTS, ids=[v.name for v in DROP_KNOTS])
+def test_certify_raises_when_isolation_loses_a_root(v, monkeypatch):
+    # drop each witness and each adjacent pair: the arc proof must notice,
+    # also where the other checks pass, as for trefoil # mirror(5_2) with
+    # both roots dropped
+    delta = alexander_poly(v)
+    witnesses = isolate_unit_roots(to_z_poly(delta))
+    drops = [{i} for i in range(len(witnesses))]
+    drops += [{i, i + 1} for i in range(len(witnesses) - 1)]
+    certify_module = importlib.import_module("knotcert.certify")
+    for drop in drops:
+        kept = [w for i, w in enumerate(witnesses) if i not in drop]
+        monkeypatch.setattr(
+            certify_module, "isolate_unit_roots", lambda p_z, refine_bits=32, kept=kept: kept
+        )
+        with pytest.raises(InternalInconsistencyError, match="plateau arc"):
+            certify(v, delta=delta)

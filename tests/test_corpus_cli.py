@@ -853,6 +853,25 @@ def test_cli_over_long_alexander_coefficient_is_a_row_error(tmp_path, capsys):
     assert rows[1]["error"].startswith(prefix)
 
 
+def test_over_long_alexander_row_is_rejected_before_its_roots(tmp_path, monkeypatch, capsys):
+    # the row becomes INVALID_INPUT right after its Alexander polynomial, with
+    # the error alexander prints; root isolation never sees it
+    p = _over_long_alexander_corpus(tmp_path)
+    assert main(["alexander", "--input", str(p)]) == 1
+    error = capsys.readouterr().out.splitlines()[1].removeprefix("ERROR ")
+    certify_module = importlib.import_module("knotcert.certify")
+    real = certify_module.isolate_unit_roots
+
+    def isolate(p_z, refine_bits=32):
+        assert p_z.degree == 1, "roots isolated for the over-long row"
+        return real(p_z, refine_bits=refine_bits)
+
+    monkeypatch.setattr(certify_module, "isolate_unit_roots", isolate)
+    certs = certify_rows(parse_corpus(p))
+    assert [c.verdict for c in certs] == [CERTIFIED, INVALID_INPUT, CERTIFIED]
+    assert certs[1].error == error
+
+
 def test_cli_roots_over_long_endpoint_is_a_row_error(tmp_path, capsys):
     # with a = 10^(L/2), L the digit limit, the isolating interval of the one
     # unit root needs endpoints past the limit; nothing of the row is printed

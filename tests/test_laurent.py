@@ -8,7 +8,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from knotcert.errors import (
     NormalizationError,
@@ -31,16 +31,19 @@ from knotcert.fixtures import (
     random_corpus,
     random_unimodular,
     square_knot,
+    torus_knot,
 )
 from knotcert.laurent import (
     SymmetricLaurentPoly,
     ZPoly,
+    _descartes_variations,
     _halve,
     _isolate_squarefree,
     _pderiv,
     _pdivexact,
     _peval,
     _pgcd,
+    _root_free,
     _sign_at,
     alexander_poly,
     isolate_unit_roots,
@@ -48,7 +51,7 @@ from knotcert.laurent import (
     sturm_count,
     to_z_poly,
 )
-from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
+from knotcert.seifert import SeifertMatrix, block_sum, mirror
 
 from conftest import seifert_matrices
 from oracles import distinct_real_roots_float
@@ -274,9 +277,8 @@ def test_alexander_mirror_invariant(v):
 
 @pytest.mark.parametrize("k", [*range(1, 16), 30])
 def test_alexander_torus_2_2k_plus_1_closed_form(k):
-    # T(2,2k+1): -1 on the diagonal, 1 above it; Delta alternates +-1 on [-k, k]
-    n = 2 * k
-    v = validate([[-1 if i == j else int(j == i + 1) for j in range(n)] for i in range(n)])
+    # T(2,2k+1): Delta alternates +-1 on [-k, k]
+    v = torus_knot(2, 2 * k + 1)
     expected = {e: (-1) ** (k - abs(e)) for e in range(-k, k + 1)}
     assert alexander_poly(v) == SymmetricLaurentPoly(expected)
 
@@ -367,6 +369,27 @@ def _halves(f, ka, kb, d, steps):
         assert s_b == _sign_at(f, sturm_half[1])
         assert sturm_count(chain, *sturm_half) == 1
     return Fraction(ka, d), Fraction(kb, d)
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=9),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 16)),
+    st.builds(Fraction, st.integers(1, 64), st.integers(1, 16)).map(lambda w: min(w, Fraction(4))),
+)
+@settings(max_examples=200, deadline=None)
+def test_descartes_variations_agree_with_sturm_count(coeffs, lo, width):
+    p = list(ZPoly(coeffs).coeffs)
+    assume(len(p) > 1)
+    f = _squarefree_part(p)
+    hi = lo + width
+    # distinct roots in the open interval (lo, hi); sturm_count counts (lo, hi]
+    roots = sturm_count(sturm_chain(f), lo, hi) - (_sign_at(f, hi) == 0)
+    d = lo.denominator * hi.denominator
+    variations = _descartes_variations(f, int(lo * d), int(hi * d), d)
+    # Descartes' rule: an upper bound of the same parity, exact at 0 and 1
+    assert variations >= roots and (variations - roots) % 2 == 0
+    assert variations > 1 or variations == roots
+    assert _root_free(f, lo, hi) == _root_free(p, lo, hi) == (roots == 0)
 
 
 def test_halve_halfopen_convention():
