@@ -184,8 +184,7 @@ def _write_plots(certs, args) -> None:
 
     if args.plot is None:
         return
-    out = Path(args.plot)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.plot)  # made by main before the work
     used: set[str] = set()
     for cert in certs:
         if cert.profile is not None:
@@ -264,17 +263,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such directory for --out: {Path(out).parent}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        rows = parse_corpus(args.input, format=args.format)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.input}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (UnknownFormatError, CorpusParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
+        if getattr(args, "plot", None) is not None:
+            Path(args.plot).mkdir(parents=True, exist_ok=True)  # before the work, too
+        try:
+            rows = parse_corpus(args.input, format=args.format)
+        except FileNotFoundError:
+            print(f"error: no such file: {args.input}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except (UnknownFormatError, CorpusParseError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         return args.run(rows, args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

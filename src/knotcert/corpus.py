@@ -36,8 +36,6 @@ if TYPE_CHECKING:
     from .certify import Certificate
     from .inertia import SignatureProfile
 
-FORMATS = ("json", "jsonl", "csv")
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -188,6 +186,24 @@ def _parse_csv(text: str) -> list[ParsedRow]:
     return out
 
 
+_PARSERS = {"json": _parse_json, "jsonl": _parse_jsonl, "csv": _parse_csv}
+FORMATS = tuple(_PARSERS)
+
+
+def _format(path: Path, format: str | None) -> str:
+    """format, or else the one the suffix of path names; UnknownFormatError if unknown."""
+    if format is None:
+        format = path.suffix.lstrip(".").lower()
+    if format not in FORMATS:
+        raise UnknownFormatError(f"unknown corpus format {format!r}; expected one of {FORMATS}")
+    return format
+
+
+def _read(text: str, format: str) -> list[ParsedRow]:
+    # a leading byte-order mark, which Excel writes at the start of a CSV, is not data
+    return _PARSERS[format](text.removeprefix("\ufeff"))
+
+
 def parse_corpus(path: str | Path, format: str | None = None) -> list[ParsedRow]:
     """Parse a corpus file into entries and per-row error records, in file order.
 
@@ -196,53 +212,36 @@ def parse_corpus(path: str | Path, format: str | None = None) -> list[ParsedRow]
     CorpusParseError (the latter only for file-level damage).
     """
     path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format not in FORMATS:
-        raise UnknownFormatError(f"unknown corpus format {format!r}; expected one of {FORMATS}")
-    # utf-8-sig drops the byte-order mark that Excel writes at the start
-    text = path.read_text(encoding="utf-8-sig")
-    if format == "json":
-        return _parse_json(text)
-    if format == "jsonl":
-        return _parse_jsonl(text)
-    return _parse_csv(text)
+    format = _format(path, format)
+    return _read(path.read_text(encoding="utf-8"), format)
 
 
-def write_corpus(entries: Sequence[CorpusEntry], path: str | Path, format: str = "json") -> None:
-    """Serialize entries in any of the supported corpus formats.
+def write_corpus(
+    entries: Sequence[CorpusEntry], path: str | Path, format: str | None = None
+) -> None:
+    """Serialize entries in a corpus format, inferred from the suffix when omitted.
 
-    Raises ValueError, before writing, for a csv entry the reader would read
-    back differently: a name with a line break (the reader takes one physical
-    line per record), a name with leading or trailing whitespace (the reader
-    strips it), or a non-default assume_irreducible or assume_m0_prime (the
-    format has no column for them).
+    The text is parsed back with parse_corpus's reader before anything is
+    written; ValueError names the first entry that does not come back equal.
     """
     path = Path(path)
-    if format == "json" or format == "jsonl":
-        objs = [_to_obj(e) for e in entries]
-        if format == "json":
-            path.write_text(json.dumps(objs, indent=2) + "\n", encoding="utf-8")
-        else:
-            path.write_text(
-                "".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8"
-            )
-        return
+    format = _format(path, format)
     if format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for e in entries:
-            if "\n" in e.name or "\r" in e.name:
-                raise ValueError(f"a CSV name cannot contain a line break: {e.name!r}")
-            if e.name != e.name.strip():
-                raise ValueError(f"a CSV name cannot start or end with whitespace: {e.name!r}")
-            if not e.assume_irreducible or e.assume_m0_prime:
-                raise ValueError(f"CSV has no flag columns; {e.name!r} has non-default flags")
-            flat = [x for row in e.seifert.entries for x in row]
-            writer.writerow([e.name, *flat, e.seifert.size])
-        path.write_text(buf.getvalue(), encoding="utf-8")
-        return
-    raise UnknownFormatError(f"unknown corpus format {format!r}")
+        csv.writer(buf, lineterminator="\n").writerows(
+            [e.name, *(x for row in e.seifert.entries for x in row), e.seifert.size]
+            for e in entries
+        )
+        text = buf.getvalue()
+    else:
+        objs = [_to_obj(e) for e in entries]
+        lines = [json.dumps(objs, indent=2)] if format == "json" else map(json.dumps, objs)
+        text = "".join(line + "\n" for line in lines)
+    back = _read(text, format)
+    for i, e in enumerate(entries):
+        if back[i : i + 1] != [e]:
+            raise ValueError(f"entry {i} ({e.name!r}) would not read back unchanged from {format}")
+    path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

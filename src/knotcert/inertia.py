@@ -102,7 +102,7 @@ class UnitCirclePoint:
 
     @property
     def angle(self) -> float:
-        return 2.0 * math.atan(float(self.u))
+        return 2.0 * math.atan(_float(self.u))
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,8 @@ def b_matrix_at(v: SeifertMatrix, point: UnitCirclePoint) -> CMatrix:
 
 def _rational_sqrt_between(qa: Fraction, qb: Fraction) -> Fraction:
     """Some positive rational u with qa < u^2 < qb, for 0 <= qa < qb."""
-    target = (qa + qb) / 2
-    est = math.sqrt(float(target)) if target > 0 else 0.0
-    for limit in (10**3, 10**6, 10**12):
+    est = math.sqrt(_float((qa + qb) / 2))  # inf past the float range: bisect exactly
+    for limit in (10**3, 10**6, 10**12) if est < math.inf else ():
         u = Fraction(est).limit_denominator(limit)
         if u > 0 and qa < u * u < qb:
             return u

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -183,17 +184,21 @@ def test_parse_skips_a_leading_byte_order_mark(tmp_path, suffix, text):
     assert parse_corpus(p) == [CorpusEntry("trefoil", validate([[-1, 1], [0, -1]]))]
 
 
+READ_BACK = "would not read back unchanged"
+
+
 @pytest.mark.parametrize("name", ["two\nlines", "two\rlines"])
 def test_write_csv_rejects_a_name_with_a_line_break(tmp_path, name):
     # the reader takes one physical line per record and would split the name
     p = tmp_path / "c.csv"
-    with pytest.raises(ValueError, match="line break"):
+    with pytest.raises(ValueError, match=READ_BACK):
         write_corpus([CorpusEntry(name, TREFOIL)], p, "csv")
     assert not p.exists()
 
 
 @pytest.mark.parametrize(
-    "name, flags, match",
+    # why names the reader's rule that changes the entry; it is the test id's last part
+    "name, flags, why",
     [
         # the reader strips the name cell, so " padded " would come back "padded"
         (" padded ", {}, "whitespace"),
@@ -203,12 +208,39 @@ def test_write_csv_rejects_a_name_with_a_line_break(tmp_path, name):
         # would read back CERTIFIED instead of NOT_APPLICABLE
         ("trefoil", {"assume_irreducible": False}, "flag"),
         ("trefoil", {"assume_m0_prime": True}, "flag"),
+        # the reader drops a byte-order mark at the start of the file
+        ("\ufeffmarked", {}, "bom"),
     ],
 )
-def test_write_csv_rejects_an_entry_it_would_read_back_differently(tmp_path, name, flags, match):
+def test_write_csv_rejects_an_entry_it_would_read_back_differently(tmp_path, name, flags, why):
     p = tmp_path / "c.csv"
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=READ_BACK):
         write_corpus([CorpusEntry(name, TREFOIL, **flags)], p, "csv")
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
+@pytest.mark.parametrize("name", ["", "ctl\x01x"])
+def test_write_rejects_a_name_the_reader_makes_an_error_row(tmp_path, fmt, name):
+    p = tmp_path / f"c.{fmt}"
+    entries = [CorpusEntry("trefoil", TREFOIL), CorpusEntry(name, TREFOIL)]
+    with pytest.raises(ValueError, match=rf"entry 1 \({re.escape(repr(name))}\) {READ_BACK}"):
+        write_corpus(entries, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("fname, fmt", [("c.csv", "csv"), ("c.jsonl", "jsonl"), ("c.JSON", "json")])
+def test_write_infers_the_format_from_the_suffix(tmp_path, fname, fmt):
+    entries = random_corpus(6, seed=2)
+    p = tmp_path / fname
+    write_corpus(entries, p)
+    assert parse_corpus(p, format=fmt) == entries
+
+
+def test_write_rejects_an_unknown_suffix_before_writing(tmp_path):
+    p = tmp_path / "c.xml"
+    with pytest.raises(UnknownFormatError):
+        write_corpus(random_corpus(2, seed=2), p)
     assert not p.exists()
 
 
@@ -533,6 +565,15 @@ def test_cli_unwritable_plot_dir_is_an_input_error(corpus_file, tmp_path, capsys
     plot.write_text("a file, not a directory")
     assert main(["signature", "--input", str(corpus_file), "--plot", str(plot)]) == 1
     assert "cannot write output" in capsys.readouterr().err
+
+
+def test_cli_unwritable_plot_dir_fails_before_the_work(corpus_file, tmp_path, monkeypatch, capsys):
+    plot = tmp_path / "plots"
+    plot.write_text("a file, not a directory")
+    counts = _spy(monkeypatch, ["certify.certify"])
+    assert main(["report", "--input", str(corpus_file), "--plot", str(plot)]) == 1
+    assert "cannot write output" in _one_error_line(capsys)
+    assert counts["certify.certify"] == [0, 0]
 
 
 def test_cli_signature_slope_diagnostics(corpus_file, capsys):
@@ -903,6 +944,22 @@ def test_cli_slope_eigenvalue_past_the_float_range_prints_inf(tmp_path, capsys):
         "  root 0: eigenvalue -0 -> +inf, slope ~ +inf",
     ]
     assert captured.err == ""
+
+
+def test_cli_plateau_arc_next_to_z_minus_two_is_sampled_exactly(tmp_path, capsys):
+    # det(V - V^T) = 1 and P(-2) = 5, and P has a root about 10^-400 above
+    # z = -2, so the sample u^2 of the arc below it lies past the float range
+    y = 3 * (10**200 // 3) + 1
+    matrix = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, y], [0, 0, y, (4 * y * y + 2) // 3]]
+    p = tmp_path / "near.json"
+    out = tmp_path / "r.json"
+    p.write_text(json.dumps([{"name": "near", "seifert": matrix}]))
+    assert main(["report", "--input", str(p), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = json.loads(out.read_text())
+    assert row["verdict"] == CERTIFIED and row["signature_at_minus_one"] == 4
+    (cert,) = certify_rows(parse_corpus(p))
+    assert cert.profile.plateau_values == (0, 2, 4)
 
 
 def _int_digit_limit() -> int:

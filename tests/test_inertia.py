@@ -114,6 +114,16 @@ def test_unit_circle_point_geometry():
         UnitCirclePoint(Fraction(0))
 
 
+def test_unit_circle_point_angle_past_the_float_range():
+    assert UnitCirclePoint(Fraction(10**400)).angle == math.pi
+
+
+def test_sample_next_to_z_minus_two_past_the_float_range():
+    # u^2 = (2 - z)/(2 + z) is near 10^400 here; the float estimate cannot hold it
+    z_hi = Fraction(-2) + Fraction(1, 10**400)
+    assert -2 < sample_point_in_z_range(Fraction(-2), z_hi).z < z_hi
+
+
 # --- exact inertia -----------------------------------------------------------
 
 
