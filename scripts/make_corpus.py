@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from knotcert.corpus import FORMATS, write_corpus
+from knotcert.corpus import FORMATS, _format, write_corpus
+from knotcert.errors import UnknownFormatError
 from knotcert.fixtures import random_corpus
 
 
@@ -24,8 +25,9 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
-    fmt = args.format or args.out.suffix.lstrip(".").lower() or "json"
-    if fmt not in FORMATS:
+    try:
+        fmt = _format(args.out, args.format)
+    except UnknownFormatError:
         parser.error(f"cannot infer a corpus format from {args.out.name!r}; use --format")
     entries = random_corpus(args.count, seed=args.seed, max_genus=args.max_genus)
     write_corpus(entries, args.out, fmt)

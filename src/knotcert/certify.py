@@ -145,9 +145,10 @@ def certify(
     certificate with failed checks is never emitted.  The first check, right
     after isolation, proves that no plateau arc holds a root of P.  A
     ``refine_bits`` outside [0, MAX_REFINE_BITS] raises ValueError before any
-    work, which keeps the refined intervals writable as JSON; only
-    certify_rows and the CLI turn an Alexander coefficient too long to write
-    into INVALID_INPUT.  ``delta`` is alexander_poly(v) when the caller has
+    work; the bound limits work, not digits, since separating close roots can
+    take far more halvings.  Only certify_rows and the CLI turn an Alexander
+    coefficient or root interval endpoint too long to write into
+    INVALID_INPUT.  ``delta`` is alexander_poly(v) when the caller has
     computed it already.
     """
     if not 0 <= refine_bits <= MAX_REFINE_BITS:

@@ -4,16 +4,17 @@ Subcommands: validate, alexander, roots, signature, certify, report.
 Every matrix is validated once, when the corpus is parsed.  signature,
 certify and report run the full certificate pipeline with all of its exact
 cross-checks; alexander and roots compute only what they print.
-roots, signature, certify and report take --refine-bits N, N <= 4096.  An
-error row prints as ``ERROR row N (name): reason``; in certify and report
-it is an INVALID_INPUT record whose error reads the same.
+roots, signature, certify and report take --refine-bits N, N <= 4096 (a
+bound on work, not on digits).  An error row prints as ``ERROR row N
+(name): reason``; in certify and report it is an INVALID_INPUT record whose
+error reads the same.  An entry is one if an Alexander coefficient or root
+interval endpoint it prints is too long to write (signature prints neither).
 Each command loads only the layers it runs: validate, alexander and roots
 load corpus, errors, laurent and seifert; signature, certify and report
 also load certify and inertia, which the command functions below import.
-Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 input or
-validation errors (a missing, unreadable or non-UTF-8 --input, an --out or
---plot path that cannot be written, or an Alexander coefficient or root
-interval endpoint too long to write as decimal text, included), 2 failed
+Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 an error row
+or another input or validation error (a missing, unreadable or non-UTF-8
+--input, or an --out or --plot path that cannot be written), 2 failed
 internal consistency check (in signature, certify or report), any other
 package error, or a bad option.
 """
@@ -152,10 +153,10 @@ def _cmd_validate(rows, args) -> int:
 def _cmd_alexander(rows, args) -> int:
     def emit(entry):
         delta = alexander_poly(entry.seifert)
-        error = _unwritable("Alexander coefficient", delta.coeffs.values())
-        if error is not None:
-            return CorpusError(entry.row, entry.name, error)
-        print(f"{entry.name}: {delta}")
+        error = _unwritable(entry, "Alexander coefficient", delta.coeffs.values())
+        if error is None:
+            print(f"{entry.name}: {delta}")
+        return error
 
     return _each_entry(rows, emit)
 
@@ -164,10 +165,10 @@ def _cmd_roots(rows, args) -> int:
     def emit(entry):
         p_z = to_z_poly(alexander_poly(entry.seifert))
         witnesses = isolate_unit_roots(p_z, refine_bits=args.refine_bits)
-        error = _unwritable("root interval endpoint", (x for w in witnesses for x in w.interval))
+        ends = (x for w in witnesses for x in w.interval)
+        error = _unwritable(entry, "root interval endpoint", ends)
         if error is not None:
-            return CorpusError(entry.row, entry.name, error)
-        # format the whole entry first, so a failure prints none of it
+            return error
         lines = [f"{entry.name}: {len(witnesses)} unit root(s)"] + [
             f"  z in ({w.interval[0]}, {w.interval[1]}], multiplicity {w.multiplicity},"
             f" phi in [{float(w.angle_bounds[0]):.6f}, {float(w.angle_bounds[1]):.6f}]"

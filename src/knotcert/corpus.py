@@ -315,45 +315,43 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
     """Certify parsed corpus rows in order; error rows become INVALID_INPUT records.
 
     Entries carry the matrix validated at parse time, so none is validated again.
-    An entry whose Alexander coefficients are too long to write (see
-    _unwritable) becomes an INVALID_INPUT record too, before its roots are
-    isolated; the others pass their Alexander polynomial on to ``certify``.
-    InternalInconsistencyError propagates: it signals a bug in this software,
-    not a property of the input.
+    An entry is an error row too when its Alexander coefficients (checked before
+    isolation) or root interval endpoints are too long to write (_unwritable), so
+    certificates_to_json can write every record.  InternalInconsistencyError
+    propagates: it signals a bug in this software, not a property of the input.
     """
     from .certify import _invalid_certificate, certify
 
     out = []
     for row in rows:
-        if isinstance(row, CorpusError):
-            out.append(_invalid_certificate(KnotMetadata(), row.name or f"row {row.row}", str(row)))
-            continue
-        delta = alexander_poly(row.seifert)
-        error = _unwritable("Alexander coefficient", delta.coeffs.values())
+        meta, error = KnotMetadata(), row
+        if isinstance(row, CorpusEntry):
+            meta, delta = row.metadata(), alexander_poly(row.seifert)
+            error = _unwritable(row, "Alexander coefficient", delta.coeffs.values())
+        if error is None:
+            cert = certify(row.seifert, meta, name=row.name, refine_bits=refine_bits, delta=delta)
+            # every root has a jump witness; taken in z order, as roots takes them
+            ends = (x for j in reversed(cert.jump_witnesses) for x in j.root.interval)
+            error = _unwritable(row, "root interval endpoint", ends)
         if error is not None:
-            message = str(CorpusError(row.row, row.name, error))
-            out.append(_invalid_certificate(row.metadata(), row.name, message))
-            continue
-        cert = certify(
-            row.seifert, row.metadata(), name=row.name, refine_bits=refine_bits, delta=delta
-        )
+            cert = _invalid_certificate(meta, row.name or f"row {row.row}", str(error))
         out.append(cert)
     return out
 
 
-def _unwritable(what: str, numbers: Iterable[int | Fraction]) -> str | None:
-    """Why one of numbers cannot be written as decimal text, or None if all can.
+def _unwritable(entry: CorpusEntry, what: str, numbers: Iterable[object]) -> CorpusError | None:
+    """The entry's row error if one of numbers is too long to write as decimal text, else None.
 
     A valid matrix can give Alexander coefficients or root interval endpoints
-    longer than the interpreter's int-to-str digit limit (4300 digits by
-    default, absent on older Pythons); the limit is found by trying the
-    conversion.  ``what`` names the numbers in the message.
+    past the interpreter's int-to-str digit limit (4300 digits by default,
+    absent on older Pythons), found by trying the conversion; ``what`` names
+    the numbers in the message.
     """
     try:
         for x in numbers:
             str(x)
     except ValueError as exc:
-        return f"{what} too long to write: {exc}"
+        return CorpusError(entry.row, entry.name, f"{what} too long to write: {exc}")
     return None
 
 

@@ -424,11 +424,12 @@ def det_sign_crosscheck(p_z: ZPoly, profile: SignatureProfile) -> bool:
     """Verify det B against the signature data on every plateau.
 
     ``p_z`` is the z-form of the Alexander polynomial whose roots ``profile``
-    was sampled between.  Three exact checks, any failure returning False:
+    was sampled between.  Four exact checks, any failure returning False:
     * det B(w) = (z-2)^g P(z) at every recorded sample (z = w + conj(w)),
       the determinant factorization that ties B to the Alexander polynomial;
     * sign(det B) = (-1)^((2g - signature)/2) on every plateau (the count of
       negative eigenvalues determines the determinant sign);
+    * det B(-1) = (-4)^g P(-2), the same factorization at w = -1;
     * the determinant sign flips across a root iff its multiplicity is odd.
     """
     g = profile.genus

@@ -52,9 +52,9 @@ from .seifert import SeifertMatrix, det_int
 
 IntPoly = list[int]
 
-# the bound ``certify`` and the command line put on refine_bits: at 4096 bits
-# every interval endpoint prints within the interpreter's default int-to-str
-# digit limit, and T(2,13) refines in seconds
+# the bound ``certify`` and the command line put on refine_bits, a bound on
+# work: T(2,13) refines in seconds.  It does not keep endpoints short, since
+# separating close roots can take far more halvings than refine_bits
 MAX_REFINE_BITS = 4096
 
 # ---------------------------------------------------------------------------

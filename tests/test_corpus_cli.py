@@ -932,6 +932,45 @@ def test_cli_roots_over_long_endpoint_is_a_row_error(tmp_path, capsys):
     assert len(lines) == 5 and captured.err == ""
 
 
+
+def test_cli_over_long_endpoint_is_invalid_input_in_certify_and_report(tmp_path, capsys):
+    # with a = isqrt(5 * 10^(L-1)) the Alexander coefficients a^2 and 1 - 2a^2
+    # just fit the digit limit L, but the endpoints of the root near z = 2 do not
+    a = math.isqrt(5 * 10 ** (_int_digit_limit() - 1))
+    p = tmp_path / "big.json"
+    big = {"name": "big", "seifert": [[a, 1], [0, a]]}
+    p.write_text(json.dumps([TREFOIL_OBJ, big, TREFOIL_OBJ]))
+
+    assert main(["roots", "--input", str(p)]) == 1
+    error = capsys.readouterr().out.splitlines()[2].removeprefix("ERROR ")
+    assert error.startswith("row 1 (big): root interval endpoint too long to write: ")
+
+    out_json = tmp_path / "certs.json"
+    assert main(["certify", "--input", str(p), "--out", str(out_json)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    certs = certificates_from_json(captured.out)
+    assert [c.verdict for c in certs] == [CERTIFIED, INVALID_INPUT, CERTIFIED]
+    assert certs[1].name == "big" and certs[1].error == error
+    assert certificates_from_json(out_json.read_text()) == certs
+
+    report_json = tmp_path / "report.json"
+    assert main(["report", "--input", str(p), "--out", str(report_json)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[3].startswith(f"big      -      {error}")
+    rows = json.loads(report_json.read_text())
+    assert [r["verdict"] for r in rows] == [CERTIFIED, INVALID_INPUT, CERTIFIED]
+    assert rows[1]["error"] == error
+
+    # alexander prints the coefficients, signature neither number
+    assert main(["alexander", "--input", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("big: 4999")
+    assert main(["signature", "--input", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "big: plateaus [0, 2], sig(-1) = 2, jumps: +2 at phi ~ 0.000000"
+    )
+
 def test_cli_slope_eigenvalue_past_the_float_range_prints_inf(tmp_path, capsys):
     # at a = 10^400 the larger eigenvalue of B, and on the far side of the
     # root also the one nearest zero, lies past the float range

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import random
 import re
@@ -29,6 +30,8 @@ from knotcert.inertia import (
     GaussianRational,
     UnitCirclePoint,
     _arc_z_ranges,
+    _inertia_and_det,
+    _to_cmatrix,
     b_matrix_at,
     char_poly,
     det_sign_crosscheck,
@@ -146,6 +149,17 @@ def test_inertia_with_gaussian_entries():
     ]
     assert inertia(h) == (1, 1, 0)  # eigenvalues +-2
 
+
+
+def test_char_poly_fails_closed_on_a_non_real_trace():
+    with pytest.raises(InternalInconsistencyError, match="not real"):
+        char_poly([[GaussianRational(Fraction(0), Fraction(1))]])
+
+
+def test_inertia_fails_closed_when_descartes_counts_miss_eigenvalues():
+    # x^2 + 1 has no real root, so neither sign count sees its two eigenvalues
+    with pytest.raises(InternalInconsistencyError, match="do not exhaust"):
+        _inertia_and_det(_to_cmatrix([[0, 1], [-1, 0]]))
 
 def test_char_poly_matches_numpy_on_random_hermitian():
     rng = random.Random(5)
@@ -289,6 +303,49 @@ def test_det_sign_crosscheck_empty_matrix_vacuous():
     profile, _ = profile_of(UNKNOT)
     assert det_sign_crosscheck(p_of(UNKNOT), profile)
 
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda pr: dataclasses.replace(pr, arc_dets=(-pr.arc_dets[0], *pr.arc_dets[1:])),
+        lambda pr: dataclasses.replace(pr, plateau_values=(0, pr.plateau_values[1] + 2)),
+        lambda pr: dataclasses.replace(pr, det_at_minus_one=pr.det_at_minus_one + 1),
+        lambda pr: dataclasses.replace(
+            pr, jump_angles=(dataclasses.replace(pr.jump_angles[0], multiplicity=2),)
+        ),
+    ],
+    ids=["sample-identity", "sign-law", "minus-one-identity", "flip-parity"],
+)
+def test_det_sign_crosscheck_fails_on_a_broken_law(broken):
+    # the trefoil's profile, changed so that exactly one of the four checks fails
+    profile, _ = profile_of(TREFOIL)
+    assert det_sign_crosscheck(p_of(TREFOIL), profile)
+    assert not det_sign_crosscheck(p_of(TREFOIL), broken(profile))
+
+
+@pytest.mark.parametrize(
+    "at_samples, at_minus_one, message",
+    [
+        (lambda sig, det: (1, 0, det), None, "odd plateau signature"),
+        (None, lambda sig, det: (sig, 1, det), "B(-1) singular"),
+        (None, lambda sig, det: (sig + 2, 0, det), "disagrees with the final plateau"),
+    ],
+    ids=["odd", "singular-at-minus-one", "minus-one-disagrees"],
+)
+def test_profile_fails_closed_on_a_broken_plateau(at_samples, at_minus_one, message, monkeypatch):
+    # one evaluation of B, at the arc samples (q != 0) or at w = -1 (q = 0), is changed
+    module = importlib.import_module("knotcert.inertia")
+    real = module._plateau
+
+    def plateau(v, p, q):
+        sig, zeros, det = real(v, p, q)
+        change = at_minus_one if q == 0 else at_samples
+        return (sig, zeros, det) if change is None else change(sig, det)
+
+    monkeypatch.setattr(module, "_plateau", plateau)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        signature_profile(TREFOIL, isolate_unit_roots(p_of(TREFOIL)))
 
 # --- reporting transform --------------------------------------------------------
 

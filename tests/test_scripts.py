@@ -56,6 +56,18 @@ def test_make_corpus_rejects_an_unknown_suffix_as_a_usage_error(tmp_path):
     assert not out.exists()
 
 
+
+def test_make_corpus_rejects_an_extensionless_out_unless_given_a_format(tmp_path):
+    # the suffix rule is the reader's, so no file is written that knotcert could not read
+    out = tmp_path / "corpus"
+    proc = _run("make_corpus.py", "--count", "3", "--out", str(out), status=2)
+    assert proc.stderr.splitlines()[-1] == (
+        "make_corpus.py: error: cannot infer a corpus format from 'corpus'; use --format"
+    )
+    assert not out.exists()
+    _run("make_corpus.py", "--count", "3", "--format", "jsonl", "--out", str(out))
+    assert len(parse_corpus(out, format="jsonl")) == 3
+
 def test_plot_gallery_is_deterministic(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     for out in (first, second):
