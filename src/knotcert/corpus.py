@@ -22,7 +22,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -317,15 +317,19 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
     Entries carry the matrix validated at parse time, so none is validated again.
     An entry is an error row too when its Alexander coefficients (checked before
     isolation) or root interval endpoints are too long to write (_unwritable), so
-    certificates_to_json can write every record.  InternalInconsistencyError
-    propagates: it signals a bug in this software, not a property of the input.
+    certificates_to_json can write every record; an entry built in code, with
+    no row of a corpus file, is worded by its 0-based position in ``rows``.
+    InternalInconsistencyError propagates: it signals a bug in this software,
+    not a property of the input.
     """
     from .certify import _invalid_certificate, certify
 
     out = []
-    for row in rows:
+    for position, row in enumerate(rows):
         meta, error = KnotMetadata(), row
         if isinstance(row, CorpusEntry):
+            if row.row is None:
+                row = replace(row, row=position)
             meta, delta = row.metadata(), alexander_poly(row.seifert)
             error = _unwritable(row, "Alexander coefficient", delta.coeffs.values())
         if error is None:

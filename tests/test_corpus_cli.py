@@ -913,6 +913,23 @@ def test_over_long_alexander_row_is_rejected_before_its_roots(tmp_path, monkeypa
     assert certs[1].error == error
 
 
+def test_entry_built_in_code_is_worded_by_its_position(capsys):
+    # the genus-2 row with a = 10^1100 has Alexander coefficients of about
+    # 4400 digits; an entry that no corpus file numbered takes its index in rows
+    if _int_digit_limit() > 4400:
+        pytest.skip("the int-string digit limit is above 4400 digits")
+    a = 10**1100
+    v = validate([[a, 1, 0, 0], [0, a, 0, 0], [0, 0, a + 1, 1], [0, 0, 0, a]])
+    rows = [CorpusEntry("trefoil", TREFOIL), CorpusEntry("big", v)]
+    trefoil, big = certify_rows(rows)
+    assert trefoil.verdict == CERTIFIED and big.verdict == INVALID_INPUT
+    assert big.name == "big"
+    assert big.error.startswith("row 1 (big): Alexander coefficient too long to write: ")
+    (alone,) = certify_rows(rows[1:])
+    assert alone.error.startswith("row 0 (big): ")
+    assert rows[1].row is None  # the caller's entry is not changed
+
+
 def test_cli_roots_over_long_endpoint_is_a_row_error(tmp_path, capsys):
     # with a = 10^(L/2), L the digit limit, the isolating interval of the one
     # unit root needs endpoints past the limit; nothing of the row is printed

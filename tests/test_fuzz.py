@@ -1,8 +1,9 @@
 """Random corpora in all three formats: per-row errors, never a traceback.
 
 The parsers are fuzzed with random text; report, and through it every
-certify stage, with perturbed valid matrices: some become invalid rows and
-some stay valid with entries near 2^64.
+certify stage, with perturbed valid matrices of genus up to 4: some become
+invalid rows and some stay valid with entries near 2^64.  Genus 4 (size 8)
+is where the plateau forms are evaluated in worker processes.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def perturbed_matrices(draw) -> list[list[int]]:
     Adding c to V[i][j] and V[j][i] keeps V - V^T, so the matrix stays valid
     with entries up to about 2^64; setting one entry usually breaks it.
     """
-    m = [list(row) for row in draw(seifert_matrices(max_genus=3)).entries]
+    m = [list(row) for row in draw(seifert_matrices(max_genus=4)).entries]
     if not m:
         return m
     i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))

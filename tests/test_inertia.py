@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import importlib
 import math
+import multiprocessing
+import os
 import random
 import re
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +29,7 @@ from knotcert.fixtures import (
     granny_knot,
     random_unimodular,
     square_knot,
+    torus_knot,
 )
 from knotcert.inertia import (
     GaussianRational,
@@ -346,6 +351,106 @@ def test_profile_fails_closed_on_a_broken_plateau(at_samples, at_minus_one, mess
     monkeypatch.setattr(module, "_plateau", plateau)
     with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
         signature_profile(TREFOIL, isolate_unit_roots(p_of(TREFOIL)))
+
+
+# --- plateau evaluation in worker processes ---------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools made, with the pool from size 2 on two CPUs."""
+    monkeypatch.setattr(importlib.import_module("knotcert.inertia"), "_PARALLEL_MIN_SIZE", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    yield made
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "v",
+    [granny_knot(), square_knot(), torus_knot(3, 4), torus_knot(4, 5)],
+    ids=["granny", "square", "T(3,4)", "T(4,5)"],
+)
+def test_profile_in_worker_processes_equals_the_loop(v, pools, monkeypatch):
+    witnesses = isolate_unit_roots(p_of(v))
+    pooled = signature_profile(v, witnesses)
+    assert pools == [2]
+    monkeypatch.setattr(importlib.import_module("knotcert.inertia"), "_PARALLEL_MIN_SIZE", 10**9)
+    looped = signature_profile(v, witnesses)
+    assert pools == [2]
+    for field in dataclasses.fields(looped):
+        assert getattr(pooled, field.name) == getattr(looped, field.name), field.name
+    assert len(pooled.arc_samples) == len(pooled.arc_dets) == len(witnesses) + 1
+
+
+@needs_fork
+def test_singular_sample_in_a_worker_still_raises(pools, monkeypatch):
+    module = importlib.import_module("knotcert.inertia")
+    real = module._inertia_and_det
+
+    def singular(h):
+        pos, neg, _, det = real(h)
+        return pos, neg, 1, det
+
+    # the forked workers inherit the changed module
+    monkeypatch.setattr(module, "_inertia_and_det", singular)
+    with pytest.raises(InternalInconsistencyError, match="singular sample in root-free z range"):
+        profile_of(granny_knot())
+    assert pools == [2]
+
+
+@needs_fork
+def test_worker_exception_keeps_its_type_and_the_first_failing_point(pools, monkeypatch):
+    # every evaluation fails, naming its H; the first arc sample's failure comes back
+    module = importlib.import_module("knotcert.inertia")
+    profile, witnesses = profile_of(square_knot())
+    u = profile.arc_samples[0].u
+    first = module._hermitian_h(square_knot(), u.numerator, u.denominator)[1]
+
+    def boom(h):
+        raise InternalInconsistencyError(f"forced at {h!r}")
+
+    monkeypatch.setattr(module, "_inertia_and_det", boom)
+    with pytest.raises(InternalInconsistencyError) as caught:
+        signature_profile(square_knot(), witnesses)
+    assert str(caught.value) == f"forced at {first!r}"
+    assert pools == [2, 2]
+
+
+@needs_fork
+@pytest.mark.parametrize("why", ["one CPU", "second thread"])
+def test_no_pool_with_one_cpu_or_a_second_live_thread(why, pools, monkeypatch):
+    expected, _ = profile_of(TORUS_2_5)
+    assert pools == [2]
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert profile_of(TORUS_2_5)[0] == expected
+    else:
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert profile_of(TORUS_2_5)[0] == expected
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert pools == [2]
+
 
 # --- reporting transform --------------------------------------------------------
 

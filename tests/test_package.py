@@ -113,6 +113,8 @@ def test_commands_load_only_the_layers_they_run(command, loads_certify, tmp_path
     assert "knotcert.cli" in loaded and "knotcert.laurent" in loaded
     assert ("knotcert.certify" in loaded) is loads_certify
     assert ("knotcert.inertia" in loaded) is loads_certify
+    # plateaus of a small matrix are evaluated in this process
+    assert not {"multiprocessing", "concurrent.futures"} & loaded
 
 
 def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
