@@ -28,7 +28,9 @@ from .laurent import (
     MAX_REFINE_BITS,
     SymmetricLaurentPoly,
     UnitRootWitness,
+    _multiplicity_proved,
     _root_free,
+    _yun,
     alexander_poly,
     isolate_unit_roots,
     to_z_poly,
@@ -142,8 +144,9 @@ def certify(
     matrix; raw inputs failing validation, non-integer entries included,
     yield an INVALID_INPUT certificate rather than raising.  Any failed
     internal consistency check raises InternalInconsistencyError; a
-    certificate with failed checks is never emitted.  The first check, right
-    after isolation, proves that no plateau arc holds a root of P.  A
+    certificate with failed checks is never emitted.  The first checks, right
+    after isolation, prove that no plateau arc holds a root of P and that each
+    witness holds one root of P of its multiplicity.  A
     ``refine_bits`` outside [0, MAX_REFINE_BITS] raises ValueError before any
     work; the bound limits work, not digits, since separating close roots can
     take far more halvings.  Only certify_rows and the CLI turn an Alexander
@@ -172,6 +175,18 @@ def certify(
         if not _root_free(p_z.coeffs, lo, hi):
             raise InternalInconsistencyError(
                 f"no proof that P has no root in the plateau arc z in ({lo}, {hi})"
+                f" for {label or 'input'}"
+            )
+    # the verdict rests on each multiplicity, which came from Yun's gcd
+    # chain; its Yun factor is only the proof's hint
+    factors = _yun(p_z.coeffs)[1]
+    for w in witnesses:
+        m = w.multiplicity
+        hint = factors[m - 1] if 1 <= m <= len(factors) else []
+        if not _multiplicity_proved(p_z.coeffs, hint, m, *w.interval):
+            lo, hi = w.interval
+            raise InternalInconsistencyError(
+                f"no proof that P has one root of multiplicity {m} in z in ({lo}, {hi}]"
                 f" for {label or 'input'}"
             )
     profile = signature_profile(matrix, witnesses)

@@ -316,39 +316,37 @@ def b_matrix_at(v: SeifertMatrix, point: UnitCirclePoint) -> CMatrix:
 
 
 def _rational_sqrt_between(qa: Fraction, qb: Fraction) -> Fraction:
-    """Some positive rational u with qa < u^2 < qb, for 0 <= qa < qb."""
-    est = math.sqrt(_float((qa + qb) / 2))  # inf past the float range: bisect exactly
-    for limit in (10**3, 10**6, 10**12) if est < math.inf else ():
-        u = Fraction(est).limit_denominator(limit)
-        if u > 0 and qa < u * u < qb:
-            return u
-    lo, hi = Fraction(0), max(Fraction(1), qb)
-    while True:
-        mid = (lo + hi) / 2
-        m2 = mid * mid
-        if m2 <= qa:
-            lo = mid
-        elif m2 >= qb:
-            hi = mid
-        else:
-            return mid
+    """The dyadic u = k/2^b with qa < u^2 < qb, for 0 <= qa < qb, of least b, then least k.
+
+    The least k at b is isqrt(floor(qa 4^b)) + 1; a fit at b is one at b + 1
+    (2k/2^(b+1)), so b is found by doubling and then bisection.
+    """
+
+    def least_k(b: int) -> int:  # 0 where the least k at b does not fit below qb
+        k = math.isqrt((qa.numerator << 2 * b) // qa.denominator) + 1
+        return k if k * k * qb.denominator < qb.numerator << 2 * b else 0
+
+    lo, hi = -1, 0  # no fit at lo, and hi is tried next
+    while not least_k(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if least_k(mid) else (mid, hi)
+    return Fraction(least_k(hi), 1 << hi)
 
 
 def sample_point_in_z_range(z_lo: Fraction, z_hi: Fraction) -> UnitCirclePoint:
     """A Gaussian-rational circle point whose z lies strictly in (z_lo, z_hi).
 
-    Both endpoints must satisfy -2 <= z_lo < z_hi <= 2; the returned point is
-    strictly interior, so callers may pass arc endpoints directly.
+    Both endpoints must satisfy -2 <= z_lo < z_hi <= 2, so callers may pass
+    arc endpoints; u is ``_rational_sqrt_between`` on the middle third.
     """
     if not (-2 <= z_lo < z_hi <= 2):
         raise ValueError(f"bad z range ({z_lo}, {z_hi})")
     third = (z_hi - z_lo) / 3
     a, b = z_lo + third, z_hi - third
     # u is decreasing in z: u^2 = (2-z)/(2+z)
-    qa = (2 - b) / (2 + b)
-    qb = (2 - a) / (2 + a)
-    u = _rational_sqrt_between(qa, qb)
-    point = UnitCirclePoint(u)
+    point = UnitCirclePoint(_rational_sqrt_between((2 - b) / (2 + b), (2 - a) / (2 + a)))
     assert z_lo < point.z < z_hi
     return point
 
@@ -502,9 +500,11 @@ class SlopeDiagnostic:
 
     @property
     def slope(self) -> float:
-        return (self.right_eigenvalue - self.left_eigenvalue) / (
-            self.right_angle - self.left_angle
-        )
+        """The difference quotient, or +-inf by the eigenvalue change when the
+        two sample angles round to one float (roots next to phi = 0 or pi)."""
+        change = self.right_eigenvalue - self.left_eigenvalue
+        step = self.right_angle - self.left_angle
+        return change / step if step else math.copysign(math.inf, change)
 
 
 def _float(x: Fraction) -> float:

@@ -30,7 +30,8 @@ Conventions used throughout:
   bisection sits at the right endpoint.
 * ``_root_free`` proves an open interval free of roots by Descartes' rule
   of signs, sharing no code with the Sturm path, so a root that isolation
-  lost cannot pass unnoticed.
+  lost cannot pass unnoticed; ``_multiplicity_proved`` proves, the same way
+  and by exact division, that a witness holds one root of its multiplicity.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def _trim(c: IntPoly) -> IntPoly:
     return c
 
 
-def _pdivexact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a / b when the division is exact in Z[x]; asserts exactness."""
+def _pdiv(a: IntPoly, b: IntPoly) -> IntPoly | None:
+    """Quotient a / b when the division is exact in Z[x], else None."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
+    if len(a) < len(b):
+        return None if a else []
     rem = list(a)
     q = [0] * (len(a) - len(b) + 1)
     lead = b[-1]
@@ -81,12 +82,19 @@ def _pdivexact(a: IntPoly, b: IntPoly) -> IntPoly:
         if c == 0:
             continue
         qk, r = divmod(c, lead)
-        assert r == 0, "division is not exact over the integers"
+        if r:
+            return None
         q[k] = qk
         for j, y in enumerate(b):
             rem[k + j] -= qk * y
-    assert all(x == 0 for x in rem), "nonzero remainder in exact division"
-    return _trim(q)
+    return _trim(q) if not any(rem) else None
+
+
+def _pdivexact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Quotient a / b when the division is exact in Z[x]; asserts exactness."""
+    q = _pdiv(a, b)
+    assert q is not None, "division is not exact over the integers"
+    return q
 
 
 def _pderiv(a: IntPoly) -> IntPoly:
@@ -294,8 +302,9 @@ class UnitRootWitness:
 
     ``interval`` is a half-open dyadic-rational interval (lo, hi] in
     z = 2 cos(phi) containing exactly one root of the square-free part of P;
-    ``angle_bounds`` is a rational enclosure of phi = arccos(z*/2), derived
-    for reporting only (decisions are made in z).
+    ``angle_bounds`` is a rational enclosure of phi = arccos(z*/2) =
+    2 atan(sqrt((2 - z*)/(2 + z*))), from float bounds nudged outward
+    (``_angle_bounds``), for reporting only (decisions are made in z).
     """
 
     interval: tuple[Fraction, Fraction]
@@ -432,32 +441,73 @@ def _descartes_variations(a: Sequence[int], ka: int, kb: int, d: int) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _root_free(a: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
-    """Whether the nonzero a has no root in the open interval (lo, hi), lo < hi <= lo + 4.
+def _simple_roots(a: Sequence[int], lo: Fraction, hi: Fraction) -> int | None:
+    """The number of roots of the nonzero a in the open interval (lo, hi), lo < hi <= lo + 4,
+    if each is proved simple, else None.
 
     Decided by Descartes' rule of signs with bisection (Collins-Akritas),
     sharing no code with the Sturm path: 0 variations prove a piece
-    root-free; 1 variation, or a root at a bisection midpoint, proves a root.
-    Distinct roots of a square-free factor of a are more than
-    sqrt(3) n^(-(n+2)/2) ||a||_2^(1-n) apart (Mahler), so a piece narrower
-    than that has no non-real root in the disc on it as diameter; 2 or more
-    variations there mean real roots in the piece, and bisection stops at
-    the depth where pieces are that narrow.
+    root-free and 1 variation proves one simple root in it; a root at a
+    bisection midpoint counts if a' does not vanish there.  Distinct roots of
+    a square-free factor of a are more than sqrt(3) n^(-(n+2)/2)
+    ||a||_2^(1-n) apart (Mahler), so a piece narrower than that has no
+    non-real root in the disc on it as diameter; 2 or more variations there
+    mean a multiple real root in the piece, and bisection stops at the depth
+    where pieces are that narrow.
     """
     n = len(a) - 1
     max_depth = 4 + n * n.bit_length() + n * (max(map(abs, a)).bit_length() + n.bit_length())
     d = math.lcm(lo.denominator, hi.denominator)
     stack = [(int(lo * d), int(hi * d), d, 0)]
+    roots = 0
     while stack:
         ka, kb, d, depth = stack.pop()
         variations = _descartes_variations(a, ka, kb, d)
-        if variations == 0:
+        if variations <= 1:
+            roots += variations
             continue
         km = ka + kb
-        if variations == 1 or depth == max_depth or _sign_int(a, km, 2 * d) == 0:
-            return False
+        if depth == max_depth:
+            return None
+        if _sign_int(a, km, 2 * d) == 0:
+            if _sign_int(_pderiv(list(a)), km, 2 * d) == 0:
+                return None
+            roots += 1
         stack += [(2 * ka, km, 2 * d, depth + 1), (km, 2 * kb, 2 * d, depth + 1)]
-    return True
+    return roots
+
+
+def _root_free(a: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether the nonzero a has no root in the open interval (lo, hi), lo < hi <= lo + 4."""
+    return _simple_roots(a, lo, hi) == 0
+
+
+def _multiplicity_proved(
+    p: Sequence[int], f: IntPoly, m: int, lo: Fraction, hi: Fraction
+) -> bool:
+    """Whether P has exactly one root in (lo, hi], of multiplicity exactly m.
+
+    The hint f is not trusted; the proof has three steps, each by
+    ``_simple_roots`` or exact division, sharing nothing else with the
+    Sturm/Yun path: f has exactly one root in (lo, hi] and it is simple (a
+    root at hi is settled by exact evaluation of f and f'); f^m divides P
+    exactly, so that root has multiplicity at least m in P; and
+    Q = P / f^m has no root in (lo, hi], so the multiplicity is exactly m and
+    P has no other root there.
+    """
+    if m < 1 or len(f) < 2:
+        return False
+    at_hi = _sign_at(f, hi) == 0
+    if at_hi and _sign_at(_pderiv(f), hi) == 0:
+        return False
+    if _simple_roots(f, lo, hi) != (0 if at_hi else 1):
+        return False
+    q: IntPoly | None = list(p)
+    for _ in range(m):
+        q = _pdiv(q, f)
+        if q is None:
+            return False
+    return _sign_at(q, hi) != 0 and _root_free(q, lo, hi)
 
 
 def _isolate_squarefree(chain: Sequence[IntPoly], ka: int, kb: int, d: int):
@@ -500,30 +550,80 @@ def _halve(f: IntPoly, ka: int, kb: int, d: int, s_b: int) -> tuple[int, int, in
     return 2 * ka, km, 2 * d, s_mid
 
 
+def _tan_half_angle(z: Fraction, up: bool) -> float:
+    """A float upper (``up``) or lower bound of u = sqrt((2 - z)/(2 + z)), -2 < z < 2.
+
+    u = tan(phi/2) for z = 2 cos(phi), and u^2 = a/b with the integers a, b
+    below.  The float nearest (k + up)/2^s, with k = isqrt(floor(u^2 4^s))
+    and s giving k at least 64 bits, is stepped outward until its square,
+    compared with a/b in integers, is on the right side of u^2.
+    """
+    a, b = 2 * z.denominator - z.numerator, 2 * z.denominator + z.numerator
+    s = max(0, (b.bit_length() - a.bit_length()) // 2 + 64)
+    try:
+        u = (math.isqrt((a << 2 * s) // b) + up) / (1 << s)
+    except OverflowError:  # u is past the float range, so above its largest float
+        return math.inf if up else math.nextafter(math.inf, 0.0)
+
+    def wrong_side(u: float) -> bool:
+        n, d = u.as_integer_ratio()
+        return n * n * b < a * d * d if up else n * n * b > a * d * d
+
+    while u < math.inf and wrong_side(u):
+        u = math.nextafter(u, math.inf if up else 0.0)
+    return u
+
+
 def _angle_bounds(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    # phi = arccos(z/2) is decreasing in z; nudge the float evaluations
-    # outward a few ulps so the rational bounds really enclose phi.
-    def down(x: float) -> float:
-        for _ in range(4):
-            x = math.nextafter(x, -math.inf)
+    """A rational enclosure of phi = arccos(z*/2) for a root z* in (lo, hi] inside (-2, 2).
+
+    phi = 2 atan(u) is decreasing in z, with u from ``_tan_half_angle``.
+    atan is well-conditioned, and its float is within an ulp, so 2 atan(u)
+    nudged outward 2 ulps encloses phi.  A float acos(z/2) is not
+    well-conditioned: near z = 2, phi ~ sqrt(2 - z) is lost once z/2 rounds
+    to 1.  The acos bounds nudged outward 4 ulps, which earlier releases
+    printed, are kept where they contain the atan bounds, since they then
+    enclose phi as well.
+    """
+
+    def out(x: float, toward: float, ulps: int) -> float:
+        for _ in range(ulps):
+            x = math.nextafter(x, toward)
         return max(x, 0.0)
 
-    def up(x: float) -> float:
-        for _ in range(4):
-            x = math.nextafter(x, math.inf)
-        return x
+    def acos(z: Fraction) -> float:
+        return math.acos(max(-1.0, min(1.0, float(z) / 2.0)))
 
-    phi_lo = down(math.acos(max(-1.0, min(1.0, float(hi) / 2.0))))
-    phi_hi = up(math.acos(max(-1.0, min(1.0, float(lo) / 2.0))))
+    phi_lo = out(2 * math.atan(_tan_half_angle(hi, False)), -math.inf, 2)
+    phi_hi = out(2 * math.atan(_tan_half_angle(lo, True)), math.inf, 2)
+    acos_lo, acos_hi = out(acos(hi), -math.inf, 4), out(acos(lo), math.inf, 4)
+    if acos_lo <= phi_lo and phi_hi <= acos_hi:
+        return Fraction(acos_lo), Fraction(acos_hi)
     return Fraction(phi_lo), Fraction(phi_hi)
+
+
+def _yun(p: Sequence[int]) -> tuple[list[IntPoly], list[IntPoly]]:
+    """The radicals r_0, r_1, ... of P and its Yun factors, both primitive.
+
+    With g_0 = P and g_(i+1) = gcd(g_i, g_i'), r_i = g_i / g_(i+1) is
+    square-free and vanishes exactly at the roots of multiplicity > i; the
+    Yun factor r_(m-1) / r_m (r_(m-1) at the top multiplicity) vanishes
+    exactly at the roots of multiplicity m.
+    """
+    radicals: list[IntPoly] = []
+    g = _primitive(list(p))
+    while len(g) > 1:
+        g_next = _pgcd(g, _pderiv(g))
+        radicals.append(_pdivexact(g, g_next))
+        g = g_next
+    return radicals, [_pdivexact(r, s) for r, s in zip(radicals, radicals[1:])] + radicals[-1:]
 
 
 def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]:
     """Isolate all roots of P in the open interval (-2, 2), with multiplicities.
 
-    With g_0 = P and g_(i+1) = gcd(g_i, g_i'), r_i = g_i / g_(i+1) is
-    square-free and vanishes exactly at the roots of multiplicity > i.  The
-    roots of r_0 = P / gcd(P, P') are isolated with one Sturm chain, and the
+    The radicals r_i and Yun factors of P come from ``_yun``.  The roots of
+    r_0 = P / gcd(P, P') are isolated with one Sturm chain, and the
     intervals are halved on r_0 until they are pairwise disjoint with
     positive gaps.  A root's multiplicity is then the number of r_i that
     change sign or vanish over its interval.  Each interval is refined by
@@ -538,12 +638,7 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
         raise RootAtPlusMinusOneError(
             "P vanishes at z = +-2 (t = +-1); not a knot Alexander polynomial"
         )
-    radicals: list[IntPoly] = []  # r_0, r_1, ...
-    g = _primitive(list(p.coeffs))
-    while len(g) > 1:
-        g_next = _pgcd(g, _pderiv(g))
-        radicals.append(_pdivexact(g, g_next))
-        g = g_next
+    radicals, factors = _yun(p.coeffs)
     if not radicals:
         return []
     r0 = radicals[0]
@@ -563,8 +658,6 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
                 w2[:] = _halve(r0, *w2)
                 clean = False
 
-    # the Yun factor r_(m-1) / r_m vanishes exactly at the roots of multiplicity m
-    factors = [_pdivexact(r, s) for r, s in zip(radicals, radicals[1:])] + radicals[-1:]
     out = []
     for ka, kb, d, _ in cells:
         # no root of P sits at ka/d now, so r_i changes sign over the cell or

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -228,3 +229,39 @@ def test_certify_raises_when_isolation_loses_a_root(v, monkeypatch):
         )
         with pytest.raises(InternalInconsistencyError, match="plateau arc"):
             certify(v, delta=delta)
+
+
+# trefoil # trefoil # mirror(trefoil): Delta = (t - 1 + 1/t)^3, one triple
+# root with jump -2; reported as simple it would pass every other check
+TRIPLE = block_sum(granny_knot(), mirror(TREFOIL))
+MULTIPLICITY_KNOTS = [
+    v for v in NAMED + SUMS + (TRIPLE,) if isolate_unit_roots(to_z_poly(alexander_poly(v)))
+]
+
+
+@pytest.mark.parametrize("v", MULTIPLICITY_KNOTS, ids=[v.name for v in MULTIPLICITY_KNOTS])
+def test_certify_raises_when_isolation_misstates_a_multiplicity(v, monkeypatch):
+    # shift each witness's multiplicity by +-1 and +-2 where it stays >= 1:
+    # the multiplicity proof must notice, also where an even shift passes the
+    # parity, jump and det-sign checks
+    delta = alexander_poly(v)
+    witnesses = isolate_unit_roots(to_z_poly(delta))
+    certify_module = importlib.import_module("knotcert.certify")
+    for i, w in enumerate(witnesses):
+        for shift in (-2, -1, 1, 2):
+            if w.multiplicity + shift < 1:
+                continue
+            wrong = list(witnesses)
+            wrong[i] = dataclasses.replace(w, multiplicity=w.multiplicity + shift)
+            monkeypatch.setattr(
+                certify_module, "isolate_unit_roots", lambda p_z, refine_bits=32, wrong=wrong: wrong
+            )
+            with pytest.raises(InternalInconsistencyError, match="one root of multiplicity"):
+                certify(v, delta=delta)
+
+
+def test_triple_root_knot_certifies_with_its_true_multiplicity():
+    cert = certify(TRIPLE)
+    assert cert.verdict == NOT_APPLICABLE
+    ((root, jump),) = [(j.root, j.jump) for j in cert.jump_witnesses]
+    assert root.multiplicity == 3 and jump == -2

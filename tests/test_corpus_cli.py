@@ -616,14 +616,14 @@ def test_cli_slope_diagnostics_sign_points_are_exact(tmp_path, monkeypatch, caps
 
 
 def test_cli_slope_diagnostics_digits_are_exact(tmp_path, capsys):
-    # T(2,5)#5_2 sheared: the root-0 left eigenvalue is 1.3182750113e-07; a
+    # a sheared T(2,5): the root-0 right eigenvalue is -9.666745064e-08; a
     # 2^-48 enclosure is too wide for its sixth digit (one such midpoint,
-    # 1.3182749998e-07, prints +1.31827e-07)
+    # -9.6667449999e-08, prints -9.66674e-08)
     p = tmp_path / "c.json"
-    write_corpus([random_corpus(60, seed=5)[30]], p, "json")
+    write_corpus([random_corpus(60, seed=5)[3]], p, "json")
     assert main(["signature", "--input", str(p), "--slope-diagnostics"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith("  root 0: eigenvalue +1.31828e-07 -> ")
+    assert lines[1].startswith("  root 0: eigenvalue +9.31721e-08 -> -9.66675e-08, ")
 
 
 @pytest.mark.parametrize(
@@ -1000,6 +1000,27 @@ def test_cli_slope_eigenvalue_past_the_float_range_prints_inf(tmp_path, capsys):
         "  root 0: eigenvalue -0 -> +inf, slope ~ +inf",
     ]
     assert captured.err == ""
+
+
+def test_cli_slope_with_both_sample_angles_on_one_float_prints_inf(tmp_path, capsys):
+    # two genus-2 blocks, each with a root about 10^-32 above z = -2: the
+    # arc between those roots is so close to phi = pi that both sample
+    # angles of the last root round to the float pi, and the angle step is 0
+    def near(y):
+        return [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, y], [0, 0, y, (4 * y * y + 2) // 3]]
+
+    y = 3 * (10**16 // 3) + 1
+    a, b = near(y), near(y + 3)
+    seifert = [row + [0] * 4 for row in a] + [[0] * 4 + row for row in b]
+    p = tmp_path / "near.json"
+    p.write_text(json.dumps([{"name": "near", "seifert": seifert}]))
+    assert main(["signature", "--slope-diagnostics", "--input", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].endswith("+2 at phi ~ 3.141593, +2 at phi ~ 3.141593")
+    assert len(lines) == 5 and lines[4].startswith("  root 3: eigenvalue +")
+    assert lines[4].endswith("slope ~ +inf")
 
 
 def test_cli_plateau_arc_next_to_z_minus_two_is_sampled_exactly(tmp_path, capsys):

@@ -11,6 +11,7 @@ import re
 import threading
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from knotcert.inertia import (
     UnitCirclePoint,
     _arc_z_ranges,
     _inertia_and_det,
+    _rational_sqrt_between,
     _to_cmatrix,
     b_matrix_at,
     char_poly,
@@ -567,6 +569,34 @@ def test_sample_point_in_z_range_is_exact_and_interior():
         assert lo < pt.z < hi
         w = pt.omega
         assert w.re * w.re + w.im * w.im == 1
+
+
+@given(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            lambda n, d, e: Fraction(n, d) * Fraction(2) ** e,
+            st.integers(1, 10**6),
+            st.integers(1, 10**6),
+            st.integers(-1300, 1300),
+        ),
+    ),
+    st.builds(lambda n, e: Fraction(n) / Fraction(2) ** e, st.integers(1, 10**6), st.integers(-1300, 4000)),
+)
+@settings(max_examples=300, deadline=None)
+def test_rational_sqrt_between_is_the_least_dyadic_inside(qa, width):
+    # qa from 0 to past the float range, widths from past it down to 2^-4000
+    qb = qa + width
+    u = _rational_sqrt_between(qa, qb)
+    k, den = u.numerator, u.denominator
+    assert den & (den - 1) == 0  # u = k/2^b
+    assert qa < u * u < qb
+    # no smaller k at this b ...
+    assert Fraction(k - 1, den) ** 2 <= qa
+    # ... and no fit at b - 1, which would be an even k' >= k at b: so k is
+    # odd and k + 1 is already past qb
+    if den > 1:
+        assert k % 2 == 1 and Fraction(k + 1, den) ** 2 >= qb
 
 
 def test_sample_between_roots_too_close_for_limit_denominator():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,10 +40,12 @@ from knotcert.laurent import (
     _descartes_variations,
     _halve,
     _isolate_squarefree,
+    _multiplicity_proved,
     _pderiv,
     _pdivexact,
     _peval,
     _pgcd,
+    _primitive,
     _root_free,
     _sign_at,
     alexander_poly,
@@ -51,7 +54,7 @@ from knotcert.laurent import (
     sturm_count,
     to_z_poly,
 )
-from knotcert.seifert import SeifertMatrix, block_sum, mirror
+from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
 
 from conftest import seifert_matrices
 from oracles import distinct_real_roots_float
@@ -390,6 +393,69 @@ def test_descartes_variations_agree_with_sturm_count(coeffs, lo, width):
     assert variations >= roots and (variations - roots) % 2 == 0
     assert variations > 1 or variations == roots
     assert _root_free(f, lo, hi) == _root_free(p, lo, hi) == (roots == 0)
+
+
+def _decimal_asin(x: Decimal) -> Decimal:
+    """asin(x) for small x by its series, sum of C(2n, n) x^(2n+1) / (4^n (2n+1))."""
+    total, power, n = Decimal(0), x, 0
+    while power > Decimal(10) ** -70:
+        total += power / (2 * n + 1)
+        n += 1
+        power *= x * x * (2 * n - 1) / (2 * n)
+    return total
+
+
+@pytest.mark.parametrize("a", [10**6, 10**8, 10**15])
+def test_angle_bounds_enclose_an_angle_near_zero(a):
+    # Delta = a^2 (t - 2 + 1/t) + 1 puts the root at z* = 2 - 1/a^2, so
+    # phi* = 2 asin(sqrt(2 - z*)/2) = 2 asin(1/(2a)); from a = 10^8 on, z/2
+    # rounds to 1 and a float acos gave the bounds [0, 2e-323]
+    (w,) = isolate_unit_roots(to_z_poly(alexander_poly(validate([[a, 1], [0, a]]))))
+    with localcontext() as ctx:
+        ctx.prec = 80
+        phi = 2 * _decimal_asin(Decimal(1) / (2 * a))
+    lo, hi = w.angle_bounds
+    assert lo <= Fraction(phi) <= hi
+    assert hi - lo < Fraction(phi)  # and says something about it
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=4), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([0, 4, 32]),
+)
+@settings(max_examples=100, deadline=None)
+def test_multiplicity_proof_accepts_the_true_multiplicity_only(parts, refine_bits):
+    # P = f_1^m_1 ... f_k^m_k with square-free, pairwise coprime primitive f_i;
+    # refine_bits 0 leaves wide intervals whose dyadic root can sit inside
+    factors = [(_primitive(list(ZPoly(c).coeffs)), m) for c, m in parts]
+    assume(all(len(f) > 1 for f, _ in factors))
+    radical = functools.reduce(_pmul, (f for f, _ in factors))
+    assume(len(_pgcd(radical, _pderiv(radical))) == 1)
+    p = functools.reduce(_pmul, (f for f, m in factors for _ in range(m)))
+    assume(_sign_at(p, 2) != 0 and _sign_at(p, -2) != 0)
+    for w in isolate_unit_roots(ZPoly(p), refine_bits=refine_bits):
+        lo, hi = w.interval
+        # the one f_i with a root in (lo, hi]
+        ((f, m),) = [(f, m) for f, m in factors if _sign_at(f, lo) * _sign_at(f, hi) <= 0]
+        assert w.multiplicity == m
+        assert _multiplicity_proved(p, f, m, lo, hi)
+        for wrong in (m - 2, m - 1, m + 1, m + 2):
+            assert not _multiplicity_proved(p, f, wrong, lo, hi)
+        for g, _ in factors:
+            if g != f:
+                assert not _multiplicity_proved(p, g, m, lo, hi)
+
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_halve_halfopen_convention():
