@@ -29,7 +29,7 @@ from .laurent import (
     SymmetricLaurentPoly,
     UnitRootWitness,
     _multiplicity_proved,
-    _root_free,
+    _simple_roots,
     _yun,
     alexander_poly,
     isolate_unit_roots,
@@ -172,7 +172,7 @@ def certify(
     # a root that isolation lost would leave an arc with a root of P in it;
     # the witnesses come sorted by z, and the arcs go by angle
     for lo, hi in _arc_z_ranges(witnesses[::-1]):
-        if not _root_free(p_z.coeffs, lo, hi):
+        if _simple_roots(p_z.coeffs, lo, hi) != 0:
             raise InternalInconsistencyError(
                 f"no proof that P has no root in the plateau arc z in ({lo}, {hi})"
                 f" for {label or 'input'}"
@@ -195,8 +195,7 @@ def certify(
     checks = ConsistencyChecks(
         det_sign_crosscheck=det_sign_crosscheck(p_z, profile),
         first_plateau_zero=profile.plateau_values[0] == 0,
-        parity=delta.evaluate(-1).denominator == 1
-        and int(delta.evaluate(-1)) % 2 != 0,
+        parity=int(delta.evaluate(-1)) % 2 != 0,
     )
     if not checks.all_passed():
         raise InternalInconsistencyError(

@@ -17,9 +17,9 @@ and concurrent.futures, whose worker processes evaluate the plateau forms
 and are joined before the entry's certificate is made.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 an error row
 or another input or validation error (a missing, unreadable or non-UTF-8
---input, or an --out or --plot path that cannot be written), 2 failed
-internal consistency check (in signature, certify or report), any other
-package error, or a bad option.
+--input, an --out that names a directory, or an --out or --plot path that
+cannot be written), 2 failed internal consistency check (in signature,
+certify or report), any other package error, or a bad option.
 """
 
 from __future__ import annotations
@@ -262,8 +262,11 @@ def _cmd_report(rows, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out = getattr(args, "out", None)
+    # fail before the work, not when the result is written
+    if out is not None and Path(out).is_dir():
+        print(f"error: --out is a directory: {out}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if out is not None and not Path(out).parent.is_dir():
-        # fail before the work, not when the result is written
         print(f"error: no such directory for --out: {Path(out).parent}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

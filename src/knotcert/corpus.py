@@ -334,8 +334,8 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
             error = _unwritable(row, "Alexander coefficient", delta.coeffs.values())
         if error is None:
             cert = certify(row.seifert, meta, name=row.name, refine_bits=refine_bits, delta=delta)
-            # every root has a jump witness; taken in z order, as roots takes them
-            ends = (x for j in reversed(cert.jump_witnesses) for x in j.root.interval)
+            # every root has a jump witness
+            ends = (x for j in cert.jump_witnesses for x in j.root.interval)
             error = _unwritable(row, "root interval endpoint", ends)
         if error is not None:
             cert = _invalid_certificate(meta, row.name or f"row {row.row}", str(error))

@@ -28,7 +28,7 @@ Conventions used throughout:
   ``UnitRootWitness``.
   Isolating intervals are half-open (lo, hi], so a dyadic root hit by
   bisection sits at the right endpoint.
-* ``_root_free`` proves an open interval free of roots by Descartes' rule
+* ``_simple_roots`` proves an open interval free of roots by Descartes' rule
   of signs, sharing no code with the Sturm path, so a root that isolation
   lost cannot pass unnoticed; ``_multiplicity_proved`` proves, the same way
   and by exact division, that a witness holds one root of its multiplicity.
@@ -90,22 +90,8 @@ def _pdiv(a: IntPoly, b: IntPoly) -> IntPoly | None:
     return _trim(q) if not any(rem) else None
 
 
-def _pdivexact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a / b when the division is exact in Z[x]; asserts exactness."""
-    q = _pdiv(a, b)
-    assert q is not None, "division is not exact over the integers"
-    return q
-
-
 def _pderiv(a: IntPoly) -> IntPoly:
     return _trim([i * a[i] for i in range(1, len(a))])
-
-
-def _peval(a: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _sign_int(a: Sequence[int], k: int, d: int) -> int:
@@ -269,10 +255,7 @@ class ZPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        c = list(int(x) for x in coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(_trim([int(x) for x in coeffs]))
 
     @property
     def degree(self) -> int:
@@ -282,7 +265,10 @@ class ZPoly:
         return not self.coeffs
 
     def evaluate(self, z: Fraction | int) -> Fraction:
-        return _peval(self.coeffs, Fraction(z))
+        z, acc = Fraction(z), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZPoly):
@@ -477,11 +463,6 @@ def _simple_roots(a: Sequence[int], lo: Fraction, hi: Fraction) -> int | None:
     return roots
 
 
-def _root_free(a: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
-    """Whether the nonzero a has no root in the open interval (lo, hi), lo < hi <= lo + 4."""
-    return _simple_roots(a, lo, hi) == 0
-
-
 def _multiplicity_proved(
     p: Sequence[int], f: IntPoly, m: int, lo: Fraction, hi: Fraction
 ) -> bool:
@@ -507,7 +488,7 @@ def _multiplicity_proved(
         q = _pdiv(q, f)
         if q is None:
             return False
-    return _sign_at(q, hi) != 0 and _root_free(q, lo, hi)
+    return _sign_at(q, hi) != 0 and _simple_roots(q, lo, hi) == 0
 
 
 def _isolate_squarefree(chain: Sequence[IntPoly], ka: int, kb: int, d: int):
@@ -614,9 +595,11 @@ def _yun(p: Sequence[int]) -> tuple[list[IntPoly], list[IntPoly]]:
     g = _primitive(list(p))
     while len(g) > 1:
         g_next = _pgcd(g, _pderiv(g))
-        radicals.append(_pdivexact(g, g_next))
+        radicals.append(_pdiv(g, g_next))
         g = g_next
-    return radicals, [_pdivexact(r, s) for r, s in zip(radicals, radicals[1:])] + radicals[-1:]
+    factors = [_pdiv(r, s) for r, s in zip(radicals, radicals[1:])] + radicals[-1:]
+    assert None not in radicals + factors, "division is not exact over the integers"
+    return radicals, factors
 
 
 def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]:

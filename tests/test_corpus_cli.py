@@ -560,6 +560,16 @@ def test_cli_out_into_missing_directory_fails_before_the_work(
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["report", "certify"])
+def test_cli_out_naming_a_directory_fails_before_the_work(
+    command, corpus_file, tmp_path, monkeypatch, capsys
+):
+    counts = _spy(monkeypatch, ["certify.certify"])
+    assert main([command, "--input", str(corpus_file), "--out", str(tmp_path)]) == 1
+    assert "--out is a directory" in _one_error_line(capsys)
+    assert counts["certify.certify"] == [0, 0]
+
+
 def test_cli_unwritable_plot_dir_is_an_input_error(corpus_file, tmp_path, capsys):
     plot = tmp_path / "plots"
     plot.write_text("a file, not a directory")

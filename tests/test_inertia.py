@@ -563,6 +563,12 @@ def test_inertia_matches_floating_eigensolver_at_arc_samples():
             checked += 1
 
 
+@pytest.mark.parametrize("lo, hi", [(-3, 0), (0, 3), (1, 1), (1, 0)])
+def test_sample_point_in_z_range_rejects_a_bad_range(lo, hi):
+    with pytest.raises(ValueError, match="bad z range"):
+        sample_point_in_z_range(Fraction(lo), Fraction(hi))
+
+
 def test_sample_point_in_z_range_is_exact_and_interior():
     for lo, hi in ((Fraction(-2), Fraction(2)), (Fraction(1), Fraction(2)), (Fraction(-2), Fraction(-1))):
         pt = sample_point_in_z_range(lo, hi)
@@ -599,14 +605,18 @@ def test_rational_sqrt_between_is_the_least_dyadic_inside(qa, width):
         assert k % 2 == 1 and Fraction(k + 1, den) ** 2 >= qb
 
 
-def test_sample_between_roots_too_close_for_limit_denominator():
+def test_certify_samples_inside_an_arc_about_1e_30_wide():
     # the root nearest z = 2 lies about 1e-30 below it, so the first arc is
-    # too narrow for any u with denominator up to 1e12 and the sampler bisects
+    # about 1e-30 wide; its sample is the least dyadic u inside the arc
     cert = certify([[-(10**30), 1], [0, -1]])
     assert cert.verdict == "CERTIFIED"
     profile = cert.profile
-    assert profile.arc_samples[0].u.denominator > 10**12
-    for point, (z_lo, z_hi) in zip(profile.arc_samples, _arc_z_ranges(profile.jump_angles)):
+    arcs = _arc_z_ranges(profile.jump_angles)
+    z_lo, z_hi = arcs[0]
+    assert z_hi - z_lo < Fraction(1, 10**29)
+    u = profile.arc_samples[0].u
+    assert u.denominator & (u.denominator - 1) == 0
+    for point, (z_lo, z_hi) in zip(profile.arc_samples, arcs):
         assert z_lo < point.z < z_hi
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -42,12 +44,12 @@ from knotcert.laurent import (
     _isolate_squarefree,
     _multiplicity_proved,
     _pderiv,
-    _pdivexact,
-    _peval,
+    _pdiv,
     _pgcd,
     _primitive,
-    _root_free,
     _sign_at,
+    _simple_roots,
+    _tan_half_angle,
     alexander_poly,
     isolate_unit_roots,
     sturm_chain,
@@ -129,7 +131,7 @@ def test_to_z_poly_roundtrip_at_sample_points():
 
 
 def _squarefree_part(f):
-    return _pdivexact(f, _pgcd(f, _pderiv(f)))
+    return _pdiv(f, _pgcd(f, _pderiv(f)))
 
 
 def test_isolate_trefoil_single_root_at_one():
@@ -348,7 +350,7 @@ points = st.one_of(
 @given(st.lists(st.integers(-(10**12), 10**12), max_size=14), points)
 @settings(max_examples=300, deadline=None)
 def test_sign_at_matches_exact_evaluation(coeffs, x):
-    value = _peval(coeffs, Fraction(x))
+    value = ZPoly(coeffs).evaluate(x)
     assert _sign_at(coeffs, x) == (value > 0) - (value < 0)
 
 
@@ -392,7 +394,7 @@ def test_descartes_variations_agree_with_sturm_count(coeffs, lo, width):
     # Descartes' rule: an upper bound of the same parity, exact at 0 and 1
     assert variations >= roots and (variations - roots) % 2 == 0
     assert variations > 1 or variations == roots
-    assert _root_free(f, lo, hi) == _root_free(p, lo, hi) == (roots == 0)
+    assert (_simple_roots(f, lo, hi) == 0) == (_simple_roots(p, lo, hi) == 0) == (roots == 0)
 
 
 def _decimal_asin(x: Decimal) -> Decimal:
@@ -417,6 +419,13 @@ def test_angle_bounds_enclose_an_angle_near_zero(a):
     lo, hi = w.angle_bounds
     assert lo <= Fraction(phi) <= hi
     assert hi - lo < Fraction(phi)  # and says something about it
+
+
+def test_tan_half_angle_past_the_float_range():
+    # z = -2 + 10^-700 gives u = sqrt((2 - z)/(2 + z)), about 2 * 10^350
+    z = Fraction(-2) + Fraction(1, 10**700)
+    assert _tan_half_angle(z, True) == math.inf
+    assert _tan_half_angle(z, False) == sys.float_info.max
 
 
 @given(
@@ -448,6 +457,14 @@ def test_multiplicity_proof_accepts_the_true_multiplicity_only(parts, refine_bit
         for g, _ in factors:
             if g != f:
                 assert not _multiplicity_proved(p, g, m, lo, hi)
+
+
+def test_multiplicity_proof_rejects_a_hint_with_a_double_root_at_hi():
+    # P = (z - 1)^2 on (0, 1]: the hint z - 1 proves multiplicity 2, while
+    # the hint (z - 1)^2, vanishing with its derivative at hi, proves nothing
+    p, lo, hi = [1, -2, 1], Fraction(0), Fraction(1)
+    assert _multiplicity_proved(p, [-1, 1], 2, lo, hi)
+    assert not _multiplicity_proved(p, p, 1, lo, hi)
 
 
 def _pmul(a: list[int], b: list[int]) -> list[int]:
