@@ -19,7 +19,6 @@ from .errors import InternalInconsistencyError, ValidationError
 from .inertia import (
     JumpReport,
     SignatureProfile,
-    _arc_z_ranges,
     det_sign_crosscheck,
     jump_reports,
     signature_profile,
@@ -28,12 +27,10 @@ from .laurent import (
     MAX_REFINE_BITS,
     SymmetricLaurentPoly,
     UnitRootWitness,
-    _multiplicity_proved,
-    _simple_roots,
-    _yun,
     alexander_poly,
     isolate_unit_roots,
     to_z_poly,
+    unproved_claim,
 )
 from .seifert import KnotMetadata, SeifertMatrix, validate
 
@@ -145,8 +142,9 @@ def certify(
     yield an INVALID_INPUT certificate rather than raising.  Any failed
     internal consistency check raises InternalInconsistencyError; a
     certificate with failed checks is never emitted.  The first checks, right
-    after isolation, prove that no plateau arc holds a root of P and that each
-    witness holds one root of P of its multiplicity.  A
+    after isolation, are ``laurent.unproved_claim``: they prove that no
+    plateau arc holds a root of P and that each witness holds one root of P
+    of its multiplicity.  A
     ``refine_bits`` outside [0, MAX_REFINE_BITS] raises ValueError before any
     work; the bound limits work, not digits, since separating close roots can
     take far more halvings.  Only certify_rows and the CLI turn an Alexander
@@ -169,26 +167,9 @@ def certify(
         delta = alexander_poly(matrix)
     p_z = to_z_poly(delta)
     witnesses = isolate_unit_roots(p_z, refine_bits=refine_bits)
-    # a root that isolation lost would leave an arc with a root of P in it;
-    # the witnesses come sorted by z, and the arcs go by angle
-    for lo, hi in _arc_z_ranges(witnesses[::-1]):
-        if _simple_roots(p_z.coeffs, lo, hi) != 0:
-            raise InternalInconsistencyError(
-                f"no proof that P has no root in the plateau arc z in ({lo}, {hi})"
-                f" for {label or 'input'}"
-            )
-    # the verdict rests on each multiplicity, which came from Yun's gcd
-    # chain; its Yun factor is only the proof's hint
-    factors = _yun(p_z.coeffs)[1]
-    for w in witnesses:
-        m = w.multiplicity
-        hint = factors[m - 1] if 1 <= m <= len(factors) else []
-        if not _multiplicity_proved(p_z.coeffs, hint, m, *w.interval):
-            lo, hi = w.interval
-            raise InternalInconsistencyError(
-                f"no proof that P has one root of multiplicity {m} in z in ({lo}, {hi}]"
-                f" for {label or 'input'}"
-            )
+    why = unproved_claim(p_z, witnesses)
+    if why is not None:
+        raise InternalInconsistencyError(f"{why} for {label or 'input'}")
     profile = signature_profile(matrix, witnesses)
     jumps = jump_reports(profile)
 

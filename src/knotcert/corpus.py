@@ -5,7 +5,8 @@ Corpus formats (selected explicitly or inferred from the file suffix):
 * json  - one array of entry objects
 * jsonl - one entry object per line
 * csv   - rows ``name, e00, e01, ..., size`` with size^2 row-major entries
-  followed by the size column
+  followed by the size column; a first row is a header only when no cell
+  after the name is an integer
 
 Entry objects follow the schema
 ``{"name": str, "seifert": [[int, ...], ...], "assume_irreducible": bool,
@@ -22,6 +23,7 @@ import functools
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -82,6 +84,37 @@ def _has_control(name: str) -> bool:
     return min(name, default=" ") < " " or "\x7f" in name
 
 
+# what int() reads in base 10: signed decimal digits, single underscores
+# between them, whitespace around them
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+class _TooLong:
+    """An integer literal past Python's int-string digit limit, in place of its value."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __index__(self) -> int:
+        raise ValueError(self.message)
+
+
+def _int_literal(text: str) -> int | _TooLong:
+    """int(text), or a _TooLong for an integer literal past the digit limit.
+
+    Validation reads a _TooLong as a row error, so one such entry does not
+    cost the other rows of the file.
+    """
+    try:
+        return int(text)
+    except ValueError as exc:
+        if not _INT_LITERAL.fullmatch(text):
+            raise
+        return _TooLong(f"entry too long to read: {exc}")
+
+
 def _entry_from_obj(obj, row: int) -> ParsedRow:
     if not isinstance(obj, dict):
         return CorpusError(row, None, "entry is not an object")
@@ -108,10 +141,10 @@ def _entry_from_obj(obj, row: int) -> ParsedRow:
 
 def _parse_json(text: str) -> list[ParsedRow]:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_int_literal)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and over-long integer literals;
-        # RecursionError comes from arrays nested past the recursion limit
+        # ValueError is a JSONDecodeError; RecursionError comes from arrays
+        # nested past the recursion limit
         raise CorpusParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CorpusParseError("top-level JSON value must be an array of entries")
@@ -127,7 +160,7 @@ def _parse_jsonl(text: str) -> list[ParsedRow]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_int=_int_literal)
         except (ValueError, RecursionError) as exc:
             out.append(CorpusError(row, None, f"bad JSON line: {exc}"))
         else:
@@ -158,11 +191,8 @@ def _parse_csv(text: str) -> list[ParsedRow]:
             continue
         if not record or all(not cell.strip() for cell in record):
             continue
-        if row == 0 and len(record) >= 2:
-            try:
-                int(record[-1])
-            except ValueError:
-                continue  # header row
+        if row == 0 and len(record) >= 2 and not any(map(_INT_LITERAL.fullmatch, record[1:])):
+            continue  # header row: no cell after the name is an integer
         if len(record) < 2:
             out.append(CorpusError(row, None, "need at least name and size columns"))
             continue
@@ -171,10 +201,12 @@ def _parse_csv(text: str) -> list[ParsedRow]:
             out.append(CorpusError(row, None, _CONTROL_NAME))
             continue
         try:
-            size = int(record[-1])
-            cells = [int(c) for c in record[1:-1]]
+            *cells, size = map(_int_literal, record[1:])
         except ValueError:
             out.append(CorpusError(row, name or None, "non-integer size or entry"))
+            continue
+        if isinstance(size, _TooLong):
+            out.append(CorpusError(row, name or None, size.message))
             continue
         if size < 0 or len(cells) != size * size:
             out.append(

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalInconsistencyError
-from .laurent import UnitRootWitness, ZPoly, isolate_unit_roots
+from .laurent import UnitRootWitness, ZPoly, arc_z_ranges, isolate_unit_roots
 from .seifert import SeifertMatrix
 
 
@@ -351,24 +351,6 @@ def sample_point_in_z_range(z_lo: Fraction, z_hi: Fraction) -> UnitCirclePoint:
     return point
 
 
-def _arc_z_ranges(
-    witnesses_by_angle: Sequence[UnitRootWitness],
-) -> list[tuple[Fraction, Fraction]]:
-    """Open z-ranges of the plateau arcs, ordered by increasing angle.
-
-    Witness k (angle order) has z-interval (lo_k, hi_k] with z decreasing in
-    angle; the arc before it spans z in (hi_k, lo_{k-1}).
-    """
-    two = Fraction(2)
-    ranges = []
-    upper = two
-    for w in witnesses_by_angle:
-        ranges.append((w.interval[1], upper))
-        upper = w.interval[0]
-    ranges.append((Fraction(-2), upper))
-    return ranges
-
-
 def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) -> SignatureProfile:
     """Evaluate the signature step function of B over the upper semicircle.
 
@@ -381,7 +363,7 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
     raise, since they are mathematically impossible for consistent inputs.
     """
     by_angle = sorted(witnesses, key=lambda w: w.interval, reverse=True)
-    ranges = _arc_z_ranges(by_angle)
+    ranges = arc_z_ranges(by_angle)
     samples = [sample_point_in_z_range(z_lo, z_hi) for z_lo, z_hi in ranges]
     *at_samples, (sig_m1, zeros_m1, det_m1) = _plateaus(
         v, [(s.u.numerator, s.u.denominator) for s in samples] + [(1, 0)]
@@ -554,7 +536,7 @@ def transversality_diagnostic(
     """
     root = profile.jump_angles[jump_index]
     lo, hi = root.interval
-    arcs = _arc_z_ranges(profile.jump_angles)
+    arcs = arc_z_ranges(profile.jump_angles)
     delta = Fraction(1, 2**20)
     # angle-left of the root means larger z
     left_point = sample_point_in_z_range(hi, min(hi + delta, arcs[jump_index][1]))

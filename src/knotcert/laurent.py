@@ -28,10 +28,10 @@ Conventions used throughout:
   ``UnitRootWitness``.
   Isolating intervals are half-open (lo, hi], so a dyadic root hit by
   bisection sits at the right endpoint.
-* ``_simple_roots`` proves an open interval free of roots by Descartes' rule
-  of signs, sharing no code with the Sturm path, so a root that isolation
-  lost cannot pass unnoticed; ``_multiplicity_proved`` proves, the same way
-  and by exact division, that a witness holds one root of its multiplicity.
+* ``unproved_claim`` proves the isolation without the Sturm path: by
+  Descartes' rule of signs no plateau arc (``arc_z_ranges``) holds a root,
+  so a root that isolation lost cannot pass unnoticed, and by the same rule
+  and exact division each witness holds one root of its multiplicity.
 """
 
 from __future__ import annotations
@@ -231,8 +231,6 @@ class SymmetricLaurentPoly:
         return f"SymmetricLaurentPoly({dict(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for k in sorted(self.coeffs, reverse=True):
             c = self.coeffs[k]
@@ -659,3 +657,41 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
             )
         )
     return out
+
+
+def arc_z_ranges(
+    witnesses_by_angle: Sequence[UnitRootWitness],
+) -> list[tuple[Fraction, Fraction]]:
+    """Open z-ranges of the plateau arcs, ordered by increasing angle.
+
+    Witness k (angle order) has z-interval (lo_k, hi_k] with z decreasing in
+    angle; the arc before it spans z in (hi_k, lo_{k-1}).
+    """
+    two = Fraction(2)
+    ranges = []
+    upper = two
+    for w in witnesses_by_angle:
+        ranges.append((w.interval[1], upper))
+        upper = w.interval[0]
+    ranges.append((Fraction(-2), upper))
+    return ranges
+
+
+def unproved_claim(p: ZPoly, witnesses: Sequence[UnitRootWitness]) -> str | None:
+    """None, or the first claim about the witnesses, sorted by z, that is not proved.
+
+    The claims: no plateau arc holds a root of P, and each witness holds one
+    root of P of its multiplicity, proved with the hints of its own ``_yun``.
+    """
+    # a root that isolation lost would leave an arc with a root of P in it
+    for lo, hi in arc_z_ranges(witnesses[::-1]):
+        if _simple_roots(p.coeffs, lo, hi) != 0:
+            return f"no proof that P has no root in the plateau arc z in ({lo}, {hi})"
+    factors = _yun(p.coeffs)[1]
+    for w in witnesses:
+        m = w.multiplicity
+        hint = factors[m - 1] if 1 <= m <= len(factors) else []
+        if not _multiplicity_proved(p.coeffs, hint, m, *w.interval):
+            lo, hi = w.interval
+            return f"no proof that P has one root of multiplicity {m} in z in ({lo}, {hi}]"
+    return None

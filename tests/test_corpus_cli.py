@@ -1057,11 +1057,7 @@ def _int_digit_limit() -> int:
 
 
 def test_cli_hostile_json_file_is_one_error_line(tmp_path, capsys):
-    long_int = "1" * (_int_digit_limit() + 1)
-    payloads = {
-        "long_int.json": '[{"name": "big", "seifert": [[' + long_int + "]]}]",
-        "deep.json": "[" * 100_000,
-    }
+    payloads = {"deep.json": "[" * 100_000}
     for fname, text in payloads.items():
         p = tmp_path / fname
         p.write_text(text)
@@ -1090,9 +1086,48 @@ def test_cli_hostile_jsonl_lines_are_row_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert lines[0] == "OK trefoil: genus 1"
-    assert lines[1].startswith("ERROR row 1 (?): bad JSON line: Exceeds the limit")
+    assert lines[1].startswith("ERROR row 1 (big): entry too long to read: Exceeds the limit")
     assert lines[2].startswith("ERROR row 2 (?): bad JSON line: maximum recursion depth")
     assert len(lines) == 3 and captured.err == ""
+
+
+@pytest.mark.parametrize("suffix", ["json", "jsonl", "csv"])
+def test_cli_entry_past_the_digit_limit_is_a_row_error(suffix, tmp_path, capsys):
+    long_int = "1" * (_int_digit_limit() + 1)
+    p = tmp_path / f"c.{suffix}"
+    if suffix == "csv":
+        p.write_text(f"trefoil,-1,1,0,-1,2\nbig,{long_int},1,0,{long_int},2\n")
+    else:
+        objs = [json.dumps(TREFOIL_OBJ), f'{{"name": "big", "seifert": [[{long_int}, 1], [0, 1]]}}']
+        p.write_text(f"[{', '.join(objs)}]" if suffix == "json" else "\n".join(objs) + "\n")
+    assert main(["validate", "--input", str(p)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "OK trefoil: genus 1"
+    assert lines[1].startswith("ERROR row 1 (big): entry too long to read: Exceeds the limit")
+    assert len(lines) == 2 and captured.err == ""
+
+
+def test_csv_long_cell_is_too_long_only_when_it_is_an_integer(tmp_path):
+    long_int = "1" * (_int_digit_limit() + 1)
+    p = tmp_path / "c.csv"
+    p.write_text(f"size,-1,1,0,-1,{long_int}\nnot_int,{long_int}x,1,0,-1,2\n")
+    size, not_int = parse_corpus(p)
+    assert size.message.startswith("entry too long to read: Exceeds the limit")
+    assert not_int.message == "non-integer size or entry"
+
+
+def test_cli_csv_first_row_is_a_header_only_without_integer_cells(tmp_path, capsys):
+    p = tmp_path / "c.csv"
+    p.write_text("trefoil,-1,1,0,-1,2x\nfig8,1,1,0,-1,2\n")
+    assert main(["validate", "--input", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ERROR row 0 (trefoil): non-integer size or entry",
+        "OK fig8: genus 1",
+    ]
+    p.write_text("name,e00,e01,e10,e11,size\nfig8,1,1,0,-1,2\n")
+    assert main(["validate", "--input", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["OK fig8: genus 1"]
 
 
 def test_cli_csv_record_the_reader_rejects_is_a_row_error(tmp_path, capsys):

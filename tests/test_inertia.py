@@ -35,7 +35,6 @@ from knotcert.fixtures import (
 from knotcert.inertia import (
     GaussianRational,
     UnitCirclePoint,
-    _arc_z_ranges,
     _inertia_and_det,
     _rational_sqrt_between,
     _to_cmatrix,
@@ -49,7 +48,7 @@ from knotcert.inertia import (
     to_paper_parametrization,
     transversality_diagnostic,
 )
-from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
+from knotcert.laurent import alexander_poly, arc_z_ranges, isolate_unit_roots, to_z_poly
 from knotcert.seifert import SeifertMatrix, det_int, mirror, symmetrized_form
 
 from conftest import seifert_matrices
@@ -611,7 +610,7 @@ def test_certify_samples_inside_an_arc_about_1e_30_wide():
     cert = certify([[-(10**30), 1], [0, -1]])
     assert cert.verdict == "CERTIFIED"
     profile = cert.profile
-    arcs = _arc_z_ranges(profile.jump_angles)
+    arcs = arc_z_ranges(profile.jump_angles)
     z_lo, z_hi = arcs[0]
     assert z_hi - z_lo < Fraction(1, 10**29)
     u = profile.arc_samples[0].u

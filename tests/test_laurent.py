@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -55,6 +56,7 @@ from knotcert.laurent import (
     sturm_chain,
     sturm_count,
     to_z_poly,
+    unproved_claim,
 )
 from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
 
@@ -465,6 +467,18 @@ def test_multiplicity_proof_rejects_a_hint_with_a_double_root_at_hi():
     p, lo, hi = [1, -2, 1], Fraction(0), Fraction(1)
     assert _multiplicity_proved(p, [-1, 1], 2, lo, hi)
     assert not _multiplicity_proved(p, p, 1, lo, hi)
+
+
+def test_unproved_claim_returns_the_first_claim_it_cannot_prove():
+    # P = z - 1 (the trefoil): its one root z = 1 has multiplicity 1
+    p = ZPoly([-1, 1])
+    (w,) = isolate_unit_roots(p)
+    lo, hi = w.interval
+    assert unproved_claim(p, [w]) is None
+    assert unproved_claim(p, []) == "no proof that P has no root in the plateau arc z in (-2, 2)"
+    assert unproved_claim(p, [dataclasses.replace(w, multiplicity=2)]) == (
+        f"no proof that P has one root of multiplicity 2 in z in ({lo}, {hi}]"
+    )
 
 
 def _pmul(a: list[int], b: list[int]) -> list[int]:
