@@ -122,12 +122,14 @@ def _plot_name(name: str, used: set[str]) -> str:
     # 200 characters leave room for a number and a suffix within the
     # 255-byte file-name limit of common file systems
     base = (re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "entry")[:200]
+    # stems are unique under casefold, so that no two plots share a file on a
+    # case-insensitive file system
     candidate = base
     k = 2
-    while candidate in used:
+    while candidate.casefold() in used:
         candidate = f"{base}_{k}"
         k += 1
-    used.add(candidate)
+    used.add(candidate.casefold())
     return candidate
 
 

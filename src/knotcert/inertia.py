@@ -13,9 +13,11 @@ Each plateau, and w = -1 (phi = pi) as (p, q) = (1, 0), is evaluated on the
 integer form H = p(V + V^T) - iq(V - V^T) at u = p/q: B(w) = cH with
 c = 2p/(p^2+q^2) > 0, so B and H share their inertia and det B = c^n det H.
 Inertia of a Hermitian Gaussian-rational matrix is read off exactly from its
-characteristic polynomial: a Hermitian characteristic polynomial is
-real-rooted, so Descartes' rule counts positive and negative eigenvalues
-exactly once zero roots are stripped as trailing zero coefficients.
+characteristic polynomial, which Faddeev-LeVerrier builds from products
+H*M_k over exact (re, im) pairs of ``Fraction``, skipping the zero entries
+of both factors: a Hermitian characteristic polynomial is real-rooted, so
+Descartes' rule counts positive and negative eigenvalues exactly once zero
+roots are stripped as trailing zero coefficients.
 
 Signature jumps can occur only at the isolated Alexander roots, so the
 signature is a step function; every plateau is sampled once, strictly
@@ -62,23 +64,10 @@ class GaussianRational:
             return x
         return GaussianRational(Fraction(x))
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-
-_ZERO = GaussianRational(Fraction(0))
-_ONE = GaussianRational(Fraction(1))
 
 CMatrix = list[list[GaussianRational]]
+Pairs = list[list[tuple[Fraction, Fraction]]]  # (re, im) entries
+Sparse = list[list[tuple[int, Fraction, Fraction]]]  # each row's nonzero (j, re, im)
 
 
 @dataclass(frozen=True)
@@ -162,47 +151,43 @@ def _is_hermitian(h: CMatrix) -> bool:
     )
 
 
-def _mat_mul(a: CMatrix, b: CMatrix) -> CMatrix:
-    n = len(a)
+def _nonzero(rows: Pairs) -> Sparse:
+    return [[(j, x, y) for j, (x, y) in enumerate(row) if x or y] for row in rows]
+
+
+def _mat_mul(a: Sparse, b: Sparse) -> Pairs:
+    """The product of two square matrices given by their nonzero entries."""
+    n = len(b)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = _ZERO
-            for k in range(n):
-                if not a[i][k].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for a_row in a:
+        re, im = [Fraction(0)] * n, [Fraction(0)] * n
+        for k, x, y in a_row:
+            for j, u, v in b[k]:
+                re[j] += x * u - y * v
+                im[j] += x * v + y * u
+        out.append(list(zip(re, im)))
     return out
 
 
 def char_poly(h: CMatrix) -> list[Fraction]:
     """Coefficients of det(x*I - H), ascending, via Faddeev-LeVerrier.
 
-    All arithmetic is exact; for Hermitian input every coefficient is real
-    and this is asserted.
+    All arithmetic is exact, on (re, im) pairs of ``Fraction`` with the zero
+    entries of both factors skipped; for Hermitian input every coefficient is
+    real and this is asserted.
     """
     n = len(h)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    if n == 0:
-        return coeffs
-    m = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    hm = _mat_mul(h, m)
+    a = _nonzero([[(x.re, x.im) for x in row] for row in h])
+    m = [[(Fraction(i == j), Fraction(0)) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        if k > 1:
-            c = coeffs[n - k + 1]
-            m = [
-                [hm[i][j] + (GaussianRational(c) if i == j else _ZERO) for j in range(n)]
-                for i in range(n)
-            ]
-            hm = _mat_mul(h, m)
-        tr_re = sum((hm[i][i].re for i in range(n)), Fraction(0))
-        tr_im = sum((hm[i][i].im for i in range(n)), Fraction(0))
-        if tr_im != 0:
+        m = _mat_mul(a, _nonzero(m))
+        if sum((m[i][i][1] for i in range(n)), Fraction(0)) != 0:
             raise InternalInconsistencyError("characteristic polynomial not real")
-        coeffs[n - k] = -tr_re / k
+        c = coeffs[n - k] = -sum((m[i][i][0] for i in range(n)), Fraction(0)) / k
+        for i in range(n):
+            m[i][i] = (m[i][i][0] + c, m[i][i][1])
     return coeffs
 
 
@@ -267,9 +252,11 @@ def _plateau(v: SeifertMatrix, p: int, q: int) -> tuple[int, int, Fraction]:
 
 
 # Plateau evaluations go to worker processes from this matrix size on: the
-# measured crossover, not a workload boundary.  On a 2-CPU host, in 12
-# alternating in-process pairs, T(2,7) (n = 6) went 67 -> 87 ms with the pool
-# (0/12 wins) and T(2,9) (n = 8) went 220 -> 131 ms (10/12 wins).
+# measured crossover, not a workload boundary.  On a 2-CPU host, in 20
+# alternating in-process pairs of signature_profile, loop -> pool: at n = 6,
+# T(2,7) went 45 -> 62 ms (0/20 pool wins) and a dense genus-3 sum 41 -> 36 ms
+# (12/20); at n = 8, T(2,9) went 82 -> 55 ms (20/20) and a dense genus-4 sum
+# 308 -> 149 ms (20/20).
 _PARALLEL_MIN_SIZE = 8
 
 

@@ -1,12 +1,14 @@
-"""Independent floating-point oracles used to cross-check exact results.
+"""Independent oracles used to cross-check exact results.
 
-Everything here goes through numpy's eigensolvers and companion-matrix
-root finding, never through the package's exact code paths.
+The floating-point ones go through numpy's eigensolvers and companion-matrix
+root finding; ``inertia_exact`` goes through symmetric elimination over
+``Fraction``.  None of them goes through the package's exact code paths.
 """
 
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,3 +54,45 @@ def distinct_real_roots_float(
             continue
         merged.append(r)
     return merged
+
+
+def inertia_exact(rows) -> tuple[int, int, int, Fraction]:
+    """(positives, negatives, zeros, det) of a Hermitian matrix of (re, im) pairs.
+
+    Symmetric elimination over exact pairs: each step takes a nonzero real
+    diagonal pivot d, counts its sign and replaces the matrix by the Schur
+    complement of d, which is congruent to the rest, so by Sylvester's law of
+    inertia the counts add up, and det = d det(rest).  Where the whole
+    remaining diagonal is zero but some a_ij is not, the determinant-1
+    congruence row_i += c row_j, col_i += conj(c) col_j first makes
+    a_ii = 2 Re(conj(c) a_ij), with c = 1 if Re a_ij != 0 and c = i otherwise.
+    A zero remainder holds the zero eigenvalues.
+    """
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    a = [[(Fraction(re), Fraction(im)) for re, im in row] for row in rows]
+    pos = neg = 0
+    det = Fraction(1)
+    while a:
+        n = len(a)
+        p = next((i for i in range(n) if a[i][i][0] != 0), None)
+        if p is None:
+            nonzero = [(i, j) for i in range(n) for j in range(n) if a[i][j] != (0, 0)]
+            if not nonzero:
+                return pos, neg, n, Fraction(0)
+            p, j = nonzero[0]
+            c = (Fraction(1), Fraction(0)) if a[p][j][0] != 0 else (Fraction(0), Fraction(1))
+            a[p] = [add(x, mul(c, y)) for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] = add(row[p], mul(row[j], (c[0], -c[1])))
+        d = a[p][p][0]
+        pos, neg, det = pos + (d > 0), neg + (d < 0), det * d
+        rest = [i for i in range(n) if i != p]
+        row = [(-x / d, -y / d) for x, y in a[p]]  # a - a_.p a_p. / d
+        a = [[add(a[r][s], mul(a[r][p], row[s])) for s in rest] for r in rest]
+    return pos, neg, 0, det

@@ -708,6 +708,9 @@ def test_cli_plot_names_that_collide_get_numbered_stems(tmp_path, capsys):
             # a stem is cut to 200 characters before it is numbered, so that
             # a long name cannot overflow the file-name limit
             (["k" * 200 + "a" * 100, "k" * 200 + "b" * 100], ["k" * 200, "k" * 200 + "_2"]),
+            # names that differ only in case would share a file on a
+            # case-insensitive file system
+            (["K", "k", "k_2"], ["K", "k_2", "k_2_2"]),
         ]
     ):
         p.write_text(json.dumps([dict(TREFOIL_OBJ, name=n) for n in names]))

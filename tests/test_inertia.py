@@ -28,6 +28,7 @@ from knotcert.fixtures import (
     UNKNOT,
     congruent,
     granny_knot,
+    random_corpus,
     random_unimodular,
     square_knot,
     torus_knot,
@@ -35,6 +36,7 @@ from knotcert.fixtures import (
 from knotcert.inertia import (
     GaussianRational,
     UnitCirclePoint,
+    _hermitian_h,
     _inertia_and_det,
     _rational_sqrt_between,
     _to_cmatrix,
@@ -52,7 +54,7 @@ from knotcert.laurent import alexander_poly, arc_z_ranges, isolate_unit_roots, t
 from knotcert.seifert import SeifertMatrix, det_int, mirror, symmetrized_form
 
 from conftest import seifert_matrices
-from oracles import inertia_float, signature_float
+from oracles import inertia_exact, inertia_float, signature_float
 
 
 def profile_of(v: SeifertMatrix):
@@ -184,6 +186,76 @@ def test_char_poly_matches_numpy_on_random_hermitian():
         )
         viafloat = np.poly(np.linalg.eigvalsh(hf))[::-1].real
         assert np.allclose(exact, viafloat, atol=1e-6)
+
+
+def assert_matches_exact_oracle(pairs):
+    expected = inertia_exact(pairs)
+    h = [[GaussianRational(Fraction(re), Fraction(im)) for re, im in row] for row in pairs]
+    assert _inertia_and_det(h) == expected
+    assert inertia(h) == expected[:3]
+    return expected
+
+
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [
+        # zero diagonals: the congruence takes c = 1, then c = i
+        ([[(0, 0), (1, 0)], [(1, 0), (0, 0)]], (1, 1, 0, -1)),
+        ([[(0, 0), (0, 2)], [(0, -2), (0, 0)]], (1, 1, 0, -4)),
+        ([[(0, 0)] * 3] * 3, (0, 0, 3, 0)),
+        ([[(1, 0), (0, 1)], [(0, -1), (1, 0)]], (1, 0, 1, 0)),  # rank 1
+    ],
+)
+def test_exact_oracle_examples(pairs, expected):
+    assert assert_matches_exact_oracle(pairs) == expected
+
+
+def random_gaussian_hermitian(rng: random.Random, n: int, kind: str):
+    """A Hermitian matrix of Gaussian-integer (re, im) pairs, of one of four kinds."""
+    if kind == "low rank":  # X X* with X of n x r, r < n
+        r = rng.randint(0, n - 1)
+        x = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(r)] for _ in range(n)]
+        return [
+            [
+                (
+                    sum(a * c + b * d for (a, b), (c, d) in zip(x[i], x[j])),
+                    sum(b * c - a * d for (a, b), (c, d) in zip(x[i], x[j])),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    h = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        h[i][i] = (0 if kind == "zero diagonal" else rng.randint(-3, 3), 0)
+        for j in range(i + 1, n):
+            re, im = rng.randint(-2, 2), rng.randint(-2, 2)
+            h[i][j], h[j][i] = (re, im), (re, -im)
+    if kind == "singular":  # the last row and column repeat the first
+        for i in range(n):
+            h[i][-1] = h[i][0]
+        h[-1] = list(h[0])
+    return h
+
+
+def test_inertia_matches_the_exact_oracle_on_random_gaussian_integer_matrices():
+    rng = random.Random(24)
+    kinds = ["general", "zero diagonal", "singular", "low rank"]
+    zero_counts = {kind: set() for kind in kinds}
+    for trial in range(400):
+        kind = kinds[trial % 4]
+        pairs = random_gaussian_hermitian(rng, rng.randint(1, 6), kind)
+        zero_counts[kind].add(assert_matches_exact_oracle(pairs)[2])
+    assert all(len(counts) > 1 for counts in zero_counts.values())
+
+
+def test_plateau_inertia_matches_the_exact_oracle_on_random_corpus():
+    for entry in random_corpus(50, seed=17):
+        profile, _ = profile_of(entry.seifert)
+        points = [(s.u.numerator, s.u.denominator) for s in profile.arc_samples] + [(1, 0)]
+        for p, q in points:
+            _, h = _hermitian_h(entry.seifert, p, q)
+            assert_matches_exact_oracle([[(x.re, x.im) for x in row] for row in h])
 
 
 # --- signature profiles -------------------------------------------------------
