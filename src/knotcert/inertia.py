@@ -13,11 +13,11 @@ Each plateau, and w = -1 (phi = pi) as (p, q) = (1, 0), is evaluated on the
 integer form H = p(V + V^T) - iq(V - V^T) at u = p/q: B(w) = cH with
 c = 2p/(p^2+q^2) > 0, so B and H share their inertia and det B = c^n det H.
 Inertia of a Hermitian Gaussian-rational matrix is read off exactly from its
-characteristic polynomial, which Faddeev-LeVerrier builds from products
-H*M_k over exact (re, im) pairs of ``Fraction``, skipping the zero entries
-of both factors: a Hermitian characteristic polynomial is real-rooted, so
-Descartes' rule counts positive and negative eigenvalues exactly once zero
-roots are stripped as trailing zero coefficients.
+characteristic polynomial, which Faddeev-LeVerrier builds from the upper
+triangles of the Hermitian products H*M_k over exact (re, im) pairs of
+``Fraction``, skipping zero entries of both factors: the polynomial is
+real-rooted, so Descartes' rule counts positive and negative eigenvalues
+exactly once zero roots are stripped as trailing zero coefficients.
 
 Signature jumps can occur only at the isolated Alexander roots, so the
 signature is a step function; every plateau is sampled once, strictly
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -156,26 +157,32 @@ def _nonzero(rows: Pairs) -> Sparse:
 
 
 def _mat_mul(a: Sparse, b: Sparse) -> Pairs:
-    """The product of two square matrices given by their nonzero entries."""
+    """AB for Hermitian A and B a real polynomial in A, both given by nonzero entries.
+
+    (AB)* = BA = AB, so only the entries j >= i are formed, from the columns of
+    B's rows (listed in ascending order); each one below is its mirror's conjugate.
+    """
     n = len(b)
     out = []
-    for a_row in a:
+    for i, a_row in enumerate(a):
         re, im = [Fraction(0)] * n, [Fraction(0)] * n
         for k, x, y in a_row:
-            for j, u, v in b[k]:
+            for j, u, v in b[k][bisect_left(b[k], (i,)):]:
                 re[j] += x * u - y * v
                 im[j] += x * v + y * u
-        out.append(list(zip(re, im)))
+        out.append([(out[j][i][0], -out[j][i][1]) for j in range(i)] + list(zip(re[i:], im[i:])))
     return out
 
 
 def char_poly(h: CMatrix) -> list[Fraction]:
-    """Coefficients of det(x*I - H), ascending, via Faddeev-LeVerrier.
+    """Coefficients of det(x*I - H), ascending, via Faddeev-LeVerrier, for Hermitian H.
 
-    All arithmetic is exact, on (re, im) pairs of ``Fraction`` with the zero
-    entries of both factors skipped; for Hermitian input every coefficient is
-    real and this is asserted.
+    Exact, on (re, im) pairs of ``Fraction`` with zero entries skipped.  As
+    M_1 = I and M_(k+1) = H*M_k + c*I with c real, each H*M_k is Hermitian and
+    ``_mat_mul`` forms its upper triangle only; H is checked Hermitian first.
     """
+    if not _is_hermitian(h):
+        raise InternalInconsistencyError("characteristic polynomial not real: H is not Hermitian")
     n = len(h)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
@@ -254,9 +261,9 @@ def _plateau(v: SeifertMatrix, p: int, q: int) -> tuple[int, int, Fraction]:
 # Plateau evaluations go to worker processes from this matrix size on: the
 # measured crossover, not a workload boundary.  On a 2-CPU host, in 20
 # alternating in-process pairs of signature_profile, loop -> pool: at n = 6,
-# T(2,7) went 45 -> 62 ms (0/20 pool wins) and a dense genus-3 sum 41 -> 36 ms
-# (12/20); at n = 8, T(2,9) went 82 -> 55 ms (20/20) and a dense genus-4 sum
-# 308 -> 149 ms (20/20).
+# T(2,7) went 26.6 -> 27.3 ms (4/20 pool wins) and a dense genus-3 sum 38.2 ->
+# 35.0 ms (13/20); at n = 8, T(2,9) went 78 -> 52 ms (20/20) and a dense genus-4
+# sum 186 -> 110 ms (20/20).  The pool's imports cost a process about 20 ms more.
 _PARALLEL_MIN_SIZE = 8
 
 
@@ -334,7 +341,8 @@ def sample_point_in_z_range(z_lo: Fraction, z_hi: Fraction) -> UnitCirclePoint:
     a, b = z_lo + third, z_hi - third
     # u is decreasing in z: u^2 = (2-z)/(2+z)
     point = UnitCirclePoint(_rational_sqrt_between((2 - b) / (2 + b), (2 - a) / (2 + a)))
-    assert z_lo < point.z < z_hi
+    if not z_lo < point.z < z_hi:
+        raise InternalInconsistencyError(f"sample z = {point.z} outside ({z_lo}, {z_hi})")
     return point
 
 

@@ -44,6 +44,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import (
+    InternalInconsistencyError,
     NormalizationError,
     NotReciprocalError,
     RootAtPlusMinusOneError,
@@ -336,7 +337,8 @@ def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
     for i in range(g - 1, -1, -1):
         x = nodes[i]
         p = [diffs[i] - x * p[0], *(a - x * b for a, b in zip(p, p[1:])), p[-1]]
-    assert all(a.denominator == 1 for a in p), "interpolated P must have integer coefficients"
+    if any(a.denominator != 1 for a in p):
+        raise InternalInconsistencyError("interpolated P must have integer coefficients")
     coeffs = _expand_in_t(ZPoly(int(a) for a in p))
     # Delta(1) = P(2) = det(V - V^T), a Pfaffian squared, so never -1
     value_at_one = sum(coeffs.values())
@@ -345,7 +347,8 @@ def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
             f"Delta(1) = {value_at_one}; the matrix cannot be a valid Seifert matrix"
         )
     poly = SymmetricLaurentPoly(coeffs)
-    assert poly.max_exponent <= g
+    if poly.max_exponent > g:
+        raise InternalInconsistencyError(f"Delta has degree {poly.max_exponent} above the genus {g}")
     return poly
 
 
@@ -596,7 +599,8 @@ def _yun(p: Sequence[int]) -> tuple[list[IntPoly], list[IntPoly]]:
         radicals.append(_pdiv(g, g_next))
         g = g_next
     factors = [_pdiv(r, s) for r, s in zip(radicals, radicals[1:])] + radicals[-1:]
-    assert None not in radicals + factors, "division is not exact over the integers"
+    if None in radicals + factors:
+        raise InternalInconsistencyError("division is not exact over the integers")
     return radicals, factors
 
 

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NonSquareError, NonSymplecticError, OddSizeError
+from .errors import InternalInconsistencyError, NonSquareError, NonSymplecticError, OddSizeError
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -79,7 +79,8 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 q, r = divmod(num, prev)
-                assert r == 0, "Bareiss division must be exact over the integers"
+                if r:
+                    raise InternalInconsistencyError("Bareiss division must be exact over the integers")
                 m[i][j] = q
             m[i][k] = 0
         prev = m[k][k]

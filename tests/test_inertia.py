@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -38,6 +40,7 @@ from knotcert.inertia import (
     UnitCirclePoint,
     _hermitian_h,
     _inertia_and_det,
+    _inertia_from_char_poly,
     _rational_sqrt_between,
     _to_cmatrix,
     b_matrix_at,
@@ -167,7 +170,16 @@ def test_char_poly_fails_closed_on_a_non_real_trace():
 def test_inertia_fails_closed_when_descartes_counts_miss_eigenvalues():
     # x^2 + 1 has no real root, so neither sign count sees its two eigenvalues
     with pytest.raises(InternalInconsistencyError, match="do not exhaust"):
-        _inertia_and_det(_to_cmatrix([[0, 1], [-1, 0]]))
+        _inertia_from_char_poly([Fraction(1), Fraction(0), Fraction(1)])
+
+
+@pytest.mark.parametrize("entries", [[[0, 1], [-1, 0]], [[0, 1], [0, 0]]])
+def test_char_poly_fails_closed_on_non_hermitian_input(entries):
+    # only the upper triangle of each product is formed, which is the whole
+    # product only for Hermitian H: [[0, 1], [0, 0]] would read x^2
+    with pytest.raises(InternalInconsistencyError, match="not real"):
+        char_poly(_to_cmatrix(entries))
+
 
 def test_char_poly_matches_numpy_on_random_hermitian():
     rng = random.Random(5)
@@ -242,9 +254,11 @@ def test_inertia_matches_the_exact_oracle_on_random_gaussian_integer_matrices():
     rng = random.Random(24)
     kinds = ["general", "zero diagonal", "singular", "low rank"]
     zero_counts = {kind: set() for kind in kinds}
-    for trial in range(400):
+    # 400 of size 1-6, then three of each kind at sizes 7-10, up to genus 5
+    for trial in range(412):
         kind = kinds[trial % 4]
-        pairs = random_gaussian_hermitian(rng, rng.randint(1, 6), kind)
+        n = rng.randint(1, 6) if trial < 400 else 7 + (trial - 400) // 3
+        pairs = random_gaussian_hermitian(rng, n, kind)
         zero_counts[kind].add(assert_matches_exact_oracle(pairs)[2])
     assert all(len(counts) > 1 for counts in zero_counts.values())
 
@@ -638,6 +652,32 @@ def test_inertia_matches_floating_eigensolver_at_arc_samples():
 def test_sample_point_in_z_range_rejects_a_bad_range(lo, hi):
     with pytest.raises(ValueError, match="bad z range"):
         sample_point_in_z_range(Fraction(lo), Fraction(hi))
+
+
+def test_sample_outside_its_arc_raises_under_python_O(tmp_path):
+    # python -O strips assert statements; this check must still end certify
+    # with exit 2: the stub puts the first sample of the trefoil near z = -2
+    corpus = tmp_path / "trefoil.json"
+    corpus.write_text('[{"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}]')
+    code = (
+        "import importlib, sys\n"
+        "from fractions import Fraction\n"
+        "from knotcert.cli import main\n"
+        "if not sys.flags.optimize: sys.exit('not under -O')\n"
+        "inertia = importlib.import_module('knotcert.inertia')\n"
+        "inertia._rational_sqrt_between = lambda qa, qb: Fraction(1000)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(importlib.import_module("knotcert").__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, "certify", "--input", str(corpus)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(r"internal inconsistency: sample z = \S+ outside \(1, 2\)\n", proc.stderr)
 
 
 def test_sample_point_in_z_range_is_exact_and_interior():
