@@ -43,7 +43,7 @@ _EXPORTS = {
             "SymmetricLaurentPoly UnitRootWitness ZPoly alexander_poly isolate_unit_roots"
             " to_z_poly"
         ),
-        "seifert": "KnotMetadata SeifertMatrix block_sum mirror symmetrized_form validate",
+        "seifert": "KnotMetadata SeifertMatrix block_sum mirror validate",
     }.items()
     for name in names.split()
 }

@@ -144,13 +144,12 @@ def certify(
     certificate with failed checks is never emitted.  The first checks, right
     after isolation, are ``laurent.unproved_claim``: they prove that no
     plateau arc holds a root of P and that each witness holds one root of P
-    of its multiplicity.  A
-    ``refine_bits`` outside [0, MAX_REFINE_BITS] raises ValueError before any
-    work; the bound limits work, not digits, since separating close roots can
-    take far more halvings.  Only certify_rows and the CLI turn an Alexander
-    coefficient or root interval endpoint too long to write into
-    INVALID_INPUT.  ``delta`` is alexander_poly(v) when the caller has
-    computed it already.
+    of its multiplicity.  A ``refine_bits`` outside [0, MAX_REFINE_BITS]
+    raises ValueError before any work; the bound limits work, not digits,
+    since separating close roots can take far more halvings.  Only
+    certify_rows and the CLI turn an Alexander coefficient or root interval
+    endpoint too long to write into INVALID_INPUT.  ``delta`` is
+    alexander_poly(v) when the caller has computed it already.
     """
     if not 0 <= refine_bits <= MAX_REFINE_BITS:
         raise ValueError(f"refine_bits must be in [0, {MAX_REFINE_BITS}], got {refine_bits}")

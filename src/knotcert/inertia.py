@@ -12,12 +12,13 @@ open upper semicircle (phi in (0, pi)) through Gaussian-rational points.
 Each plateau, and w = -1 (phi = pi) as (p, q) = (1, 0), is evaluated on the
 integer form H = p(V + V^T) - iq(V - V^T) at u = p/q: B(w) = cH with
 c = 2p/(p^2+q^2) > 0, so B and H share their inertia and det B = c^n det H.
-Inertia of a Hermitian Gaussian-rational matrix is read off exactly from its
-characteristic polynomial, which Faddeev-LeVerrier builds from the upper
-triangles of the Hermitian products H*M_k over exact (re, im) pairs of
-``Fraction``, skipping zero entries of both factors: the polynomial is
-real-rooted, so Descartes' rule counts positive and negative eigenvalues
-exactly once zero roots are stripped as trailing zero coefficients.
+H is kept as Gaussian-integer (re, im) pairs; ``GaussianRational`` grids are
+only ``inertia``'s input and ``b_matrix_at``'s output.  Inertia is read off
+exactly from the characteristic polynomial, which Faddeev-LeVerrier builds
+from the upper triangles of the Hermitian products H*M_k over exact pairs,
+skipping zero entries of both factors: the polynomial is real-rooted, so
+Descartes' rule counts positive and negative eigenvalues exactly once zero
+roots are stripped as trailing zero coefficients.
 
 Signature jumps can occur only at the isolated Alexander roots, so the
 signature is a step function; every plateau is sampled once, strictly
@@ -59,15 +60,9 @@ class GaussianRational:
     re: Fraction
     im: Fraction = Fraction(0)
 
-    @staticmethod
-    def of(x: "GaussianRational | Fraction | int") -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(Fraction(x))
-
 
 CMatrix = list[list[GaussianRational]]
-Pairs = list[list[tuple[Fraction, Fraction]]]  # (re, im) entries
+Pairs = list[list[tuple[Fraction, Fraction]]]  # (re, im) entries, int or Fraction
 Sparse = list[list[tuple[int, Fraction, Fraction]]]  # each row's nonzero (j, re, im)
 
 
@@ -84,11 +79,6 @@ class UnitCirclePoint:
     def __post_init__(self):
         if self.u <= 0:
             raise ValueError("tan-half-angle parameter must be positive")
-
-    @property
-    def omega(self) -> GaussianRational:
-        d = 1 + self.u * self.u
-        return GaussianRational((1 - self.u * self.u) / d, 2 * self.u / d)
 
     @property
     def z(self) -> Fraction:
@@ -139,14 +129,10 @@ class SignatureProfile:
 # exact Hermitian linear algebra
 
 
-def _to_cmatrix(entries) -> CMatrix:
-    return [[GaussianRational.of(x) for x in row] for row in entries]
-
-
-def _is_hermitian(h: CMatrix) -> bool:
+def _is_hermitian(h: Pairs) -> bool:
     n = len(h)
     return all(
-        h[i][j].re == h[j][i].re and h[i][j].im == -h[j][i].im
+        h[i][j][0] == h[j][i][0] and h[i][j][1] == -h[j][i][1]
         for i in range(n)
         for j in range(i, n)
     )
@@ -174,19 +160,19 @@ def _mat_mul(a: Sparse, b: Sparse) -> Pairs:
     return out
 
 
-def char_poly(h: CMatrix) -> list[Fraction]:
+def char_poly(h: Pairs) -> list[Fraction]:
     """Coefficients of det(x*I - H), ascending, via Faddeev-LeVerrier, for Hermitian H.
 
-    Exact, on (re, im) pairs of ``Fraction`` with zero entries skipped.  As
-    M_1 = I and M_(k+1) = H*M_k + c*I with c real, each H*M_k is Hermitian and
-    ``_mat_mul`` forms its upper triangle only; H is checked Hermitian first.
+    Exact, on (re, im) pairs with zero entries skipped.  As M_1 = I and
+    M_(k+1) = H*M_k + c*I with c real, each H*M_k is Hermitian and ``_mat_mul``
+    forms its upper triangle only; H is checked Hermitian first.
     """
     if not _is_hermitian(h):
         raise InternalInconsistencyError("characteristic polynomial not real: H is not Hermitian")
     n = len(h)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    a = _nonzero([[(x.re, x.im) for x in row] for row in h])
+    a = _nonzero(h)
     m = [[(Fraction(i == j), Fraction(0)) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         m = _mat_mul(a, _nonzero(m))
@@ -224,13 +210,16 @@ def inertia(h) -> tuple[int, int, int]:
     Entries may be GaussianRational, Fraction, or int.  The signature is
     positives - negatives.
     """
-    cm = _to_cmatrix(h)
-    if not _is_hermitian(cm):
+    pairs = [
+        [(x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x), Fraction(0)) for x in r]
+        for r in h
+    ]
+    if not _is_hermitian(pairs):
         raise ValueError("inertia requires a Hermitian matrix")
-    return _inertia_and_det(cm)[:3]
+    return _inertia_and_det(pairs)[:3]
 
 
-def _inertia_and_det(h: CMatrix) -> tuple[int, int, int, Fraction]:
+def _inertia_and_det(h: Pairs) -> tuple[int, int, int, Fraction]:
     coeffs = char_poly(h)
     p, n, z = _inertia_from_char_poly(coeffs)
     size = len(coeffs) - 1
@@ -242,12 +231,11 @@ def _inertia_and_det(h: CMatrix) -> tuple[int, int, int, Fraction]:
 # the Hermitian form B
 
 
-def _hermitian_h(v: SeifertMatrix, p: int, q: int) -> tuple[Fraction, CMatrix]:
+def _hermitian_h(v: SeifertMatrix, p: int, q: int) -> tuple[Fraction, Pairs]:
     """c and H with B(w) = cH at u = p/q, as 1 - w = 2p(p - iq)/(p^2+q^2) there."""
     e = v.entries
     return Fraction(2 * p, p * p + q * q), [
-        [GaussianRational(Fraction(p * (x + y)), Fraction(q * (y - x))) for x, y in zip(row, col)]
-        for row, col in zip(e, zip(*e))
+        [(p * (x + y), q * (y - x)) for x, y in zip(row, col)] for row, col in zip(e, zip(*e))
     ]
 
 
@@ -299,10 +287,14 @@ def _plateaus(v: SeifertMatrix, points: list[tuple[int, int]]) -> list[tuple[int
     return [_plateau(v, p, q) for p, q in points]
 
 
+def _b_pairs(v: SeifertMatrix, point: UnitCirclePoint) -> Pairs:
+    c, h = _hermitian_h(v, point.u.numerator, point.u.denominator)
+    return [[(c * x, c * y) for x, y in row] for row in h]
+
+
 def b_matrix_at(v: SeifertMatrix, point: UnitCirclePoint) -> CMatrix:
     """B(w) = (1-w)V + (1-conj(w))V^T at a Gaussian-rational circle point."""
-    c, h = _hermitian_h(v, point.u.numerator, point.u.denominator)
-    return [[GaussianRational(c * x.re, c * x.im) for x in row] for row in h]
+    return [[GaussianRational(x, y) for x, y in row] for row in _b_pairs(v, point)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +484,7 @@ def _float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _eigenvalues_nearest_zero(h: CMatrix, m: int) -> list[float]:
+def _eigenvalues_nearest_zero(h: Pairs, m: int) -> list[float]:
     """The m smallest-magnitude eigenvalues of a nonsingular Hermitian matrix.
 
     Counted with multiplicity and returned in ascending order.  The
@@ -536,8 +528,8 @@ def transversality_diagnostic(
     # angle-left of the root means larger z
     left_point = sample_point_in_z_range(hi, min(hi + delta, arcs[jump_index][1]))
     right_point = sample_point_in_z_range(max(lo - delta, arcs[jump_index + 1][0]), lo)
-    lefts = _eigenvalues_nearest_zero(b_matrix_at(v, left_point), root.multiplicity)
-    rights = _eigenvalues_nearest_zero(b_matrix_at(v, right_point), root.multiplicity)
+    lefts = _eigenvalues_nearest_zero(_b_pairs(v, left_point), root.multiplicity)
+    rights = _eigenvalues_nearest_zero(_b_pairs(v, right_point), root.multiplicity)
     return tuple(
         SlopeDiagnostic(left_point.angle, right_point.angle, left, right)
         for left, right in zip(lefts, reversed(rights))

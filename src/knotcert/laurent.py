@@ -405,11 +405,6 @@ def _variations(chain: Sequence[IntPoly], k: int, d: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of chain[0] in the half-open interval (lo, hi]."""
-    return _variations(chain, *_num_den(lo)) - _variations(chain, *_num_den(hi))
-
-
 def _descartes_variations(a: Sequence[int], ka: int, kb: int, d: int) -> int:
     """Sign variations of Q(x) = (d + d*x)^n * a((ka + kb*x) / (d + d*x)), n = deg a.
 

@@ -131,11 +131,3 @@ def mirror(v: SeifertMatrix) -> SeifertMatrix:
     rows = [[-v.entries[j][i] for j in range(n)] for i in range(n)]
     name = f"{v.name}*" if v.name else None
     return validate(rows, name=name)
-
-
-def symmetrized_form(v: SeifertMatrix) -> Matrix:
-    """The symmetric matrix V + V^T, whose signature is the classical knot signature."""
-    n = v.size
-    return tuple(
-        tuple(v.entries[i][j] + v.entries[j][i] for j in range(n)) for i in range(n)
-    )

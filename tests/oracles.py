@@ -2,6 +2,7 @@
 
 The floating-point ones go through numpy's eigensolvers and companion-matrix
 root finding; ``inertia_exact`` goes through symmetric elimination over
+``Fraction`` and ``sturm_count`` through a Sturm remainder sequence over
 ``Fraction``.  None of them goes through the package's exact code paths.
 """
 
@@ -96,3 +97,41 @@ def inertia_exact(rows) -> tuple[int, int, int, Fraction]:
         row = [(-x / d, -y / d) for x, y in a[p]]  # a - a_.p a_p. / d
         a = [[add(a[r][s], mul(a[r][p], row[s])) for s in rest] for r in rest]
     return pos, neg, 0, det
+
+
+def _horner_sign(f, x: Fraction) -> int:
+    value = Fraction(0)
+    for c in reversed(f):
+        value = value * x + c
+    return (value > 0) - (value < 0)
+
+
+def sturm_count(f, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in (lo, hi] of a square-free integer polynomial f.
+
+    f is given by ascending coefficients.  Sturm's theorem on the sequence
+    f_0 = f, f_1 = f', f_(k+1) = -(f_(k-1) mod f_k) over ``Fraction``: the
+    count is V(lo) - V(hi), V the sign changes with zeros skipped, which
+    also holds where lo or hi is a root.
+    """
+    f = [Fraction(c) for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    chain = [f, [k * c for k, c in enumerate(f)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        while len(r) >= len(b):  # r mod b, one leading term at a time
+            q, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= q * c
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_horner_sign(g, x) for g in chain if g) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(Fraction(lo)) - variations(Fraction(hi))

@@ -42,7 +42,6 @@ from knotcert.inertia import (
     _inertia_and_det,
     _inertia_from_char_poly,
     _rational_sqrt_between,
-    _to_cmatrix,
     b_matrix_at,
     char_poly,
     det_sign_crosscheck,
@@ -54,7 +53,7 @@ from knotcert.inertia import (
     transversality_diagnostic,
 )
 from knotcert.laurent import alexander_poly, arc_z_ranges, isolate_unit_roots, to_z_poly
-from knotcert.seifert import SeifertMatrix, det_int, mirror, symmetrized_form
+from knotcert.seifert import SeifertMatrix, det_int, mirror
 
 from conftest import seifert_matrices
 from oracles import inertia_exact, inertia_float, signature_float
@@ -67,6 +66,17 @@ def profile_of(v: SeifertMatrix):
 
 def p_of(v: SeifertMatrix):
     return to_z_poly(alexander_poly(v))
+
+
+def omega(point: UnitCirclePoint) -> tuple[Fraction, Fraction]:
+    """(re, im) of w = ((1 - u^2) + 2u*i)/(1 + u^2), the point's tan-half-angle form."""
+    u = point.u
+    return (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+
+
+def v_plus_vt(v: SeifertMatrix) -> list[list[int]]:
+    """The symmetric matrix V + V^T, whose signature is the classical knot signature."""
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(v.entries, zip(*v.entries))]
 
 
 # --- B matrix ----------------------------------------------------------------
@@ -101,7 +111,8 @@ def test_b_matrix_at_i_is_closed_form():
 def test_b_matrix_at_is_the_defining_form(v, u):
     # (1 - w)V + (1 - conj(w))V^T with w taken from the point itself
     point = UnitCirclePoint(u)
-    a_re, a_im = 1 - point.omega.re, -point.omega.im
+    w_re, w_im = omega(point)
+    a_re, a_im = 1 - w_re, -w_im
     e = v.entries
     expected = [
         [
@@ -119,9 +130,9 @@ def test_b_matrix_empty():
 
 def test_unit_circle_point_geometry():
     p = UnitCirclePoint(Fraction(1, 3))
-    w = p.omega
-    assert w.re * w.re + w.im * w.im == 1
-    assert p.z == 2 * w.re
+    w_re, w_im = omega(p)
+    assert w_re * w_re + w_im * w_im == 1
+    assert p.z == 2 * w_re
     q = UnitCirclePoint(Fraction(3))
     assert q.z < p.z  # z decreases as u (hence the angle) grows
     with pytest.raises(ValueError):
@@ -162,9 +173,20 @@ def test_inertia_with_gaussian_entries():
 
 
 
-def test_char_poly_fails_closed_on_a_non_real_trace():
-    with pytest.raises(InternalInconsistencyError, match="not real"):
-        char_poly([[GaussianRational(Fraction(0), Fraction(1))]])
+def test_char_poly_fails_closed_on_a_non_real_trace(monkeypatch):
+    # the Hermitian guard stops every input that could make a trace non-real,
+    # so the per-step check is reached by a product that gains i on its diagonal
+    module = importlib.import_module("knotcert.inertia")
+    real = module._mat_mul
+
+    def skewed(a, b):
+        m = real(a, b)
+        m[0][0] = (m[0][0][0], m[0][0][1] + 1)
+        return m
+
+    monkeypatch.setattr(module, "_mat_mul", skewed)
+    with pytest.raises(InternalInconsistencyError, match=r"^characteristic polynomial not real$"):
+        char_poly([[(1, 0), (0, 1)], [(0, -1), (1, 0)]])
 
 
 def test_inertia_fails_closed_when_descartes_counts_miss_eigenvalues():
@@ -177,8 +199,8 @@ def test_inertia_fails_closed_when_descartes_counts_miss_eigenvalues():
 def test_char_poly_fails_closed_on_non_hermitian_input(entries):
     # only the upper triangle of each product is formed, which is the whole
     # product only for Hermitian H: [[0, 1], [0, 0]] would read x^2
-    with pytest.raises(InternalInconsistencyError, match="not real"):
-        char_poly(_to_cmatrix(entries))
+    with pytest.raises(InternalInconsistencyError, match="not real: H is not Hermitian"):
+        char_poly([[(x, 0) for x in row] for row in entries])
 
 
 def test_char_poly_matches_numpy_on_random_hermitian():
@@ -187,24 +209,21 @@ def test_char_poly_matches_numpy_on_random_hermitian():
         n = rng.randint(1, 5)
         h = [[None] * n for _ in range(n)]
         for i in range(n):
-            h[i][i] = GaussianRational(Fraction(rng.randint(-5, 5)))
+            h[i][i] = (rng.randint(-5, 5), 0)
             for j in range(i + 1, n):
                 re, im = rng.randint(-4, 4), rng.randint(-4, 4)
-                h[i][j] = GaussianRational(Fraction(re), Fraction(im))
-                h[j][i] = GaussianRational(Fraction(re), Fraction(-im))
+                h[i][j], h[j][i] = (re, im), (re, -im)
         exact = [float(c) for c in char_poly(h)]
-        hf = np.array(
-            [[complex(float(x.re), float(x.im)) for x in row] for row in h]
-        )
+        hf = np.array([[complex(re, im) for re, im in row] for row in h])
         viafloat = np.poly(np.linalg.eigvalsh(hf))[::-1].real
         assert np.allclose(exact, viafloat, atol=1e-6)
 
 
 def assert_matches_exact_oracle(pairs):
     expected = inertia_exact(pairs)
-    h = [[GaussianRational(Fraction(re), Fraction(im)) for re, im in row] for row in pairs]
-    assert _inertia_and_det(h) == expected
-    assert inertia(h) == expected[:3]
+    assert _inertia_and_det(pairs) == expected
+    grid = [[GaussianRational(Fraction(re), Fraction(im)) for re, im in row] for row in pairs]
+    assert inertia(grid) == expected[:3]
     return expected
 
 
@@ -269,7 +288,7 @@ def test_plateau_inertia_matches_the_exact_oracle_on_random_corpus():
         points = [(s.u.numerator, s.u.denominator) for s in profile.arc_samples] + [(1, 0)]
         for p, q in points:
             _, h = _hermitian_h(entry.seifert, p, q)
-            assert_matches_exact_oracle([[(x.re, x.im) for x in row] for row in h])
+            assert_matches_exact_oracle(h)
 
 
 # --- signature profiles -------------------------------------------------------
@@ -401,16 +420,19 @@ def test_det_sign_crosscheck_empty_matrix_vacuous():
     "broken",
     [
         lambda pr: dataclasses.replace(pr, arc_dets=(-pr.arc_dets[0], *pr.arc_dets[1:])),
+        lambda pr: dataclasses.replace(pr, arc_dets=(2 * pr.arc_dets[0], *pr.arc_dets[1:])),
         lambda pr: dataclasses.replace(pr, plateau_values=(0, pr.plateau_values[1] + 2)),
         lambda pr: dataclasses.replace(pr, det_at_minus_one=pr.det_at_minus_one + 1),
         lambda pr: dataclasses.replace(
             pr, jump_angles=(dataclasses.replace(pr.jump_angles[0], multiplicity=2),)
         ),
     ],
-    ids=["sample-identity", "sign-law", "minus-one-identity", "flip-parity"],
+    ids=["sample-identity", "sample-factorization", "sign-law", "minus-one-identity", "flip-parity"],
 )
 def test_det_sign_crosscheck_fails_on_a_broken_law(broken):
-    # the trefoil's profile, changed so that exactly one of the four checks fails
+    # the trefoil's profile, changed to break one of the four laws; negating
+    # arc_dets[0] (sample-identity) also breaks the sign law and the flip
+    # parity, while doubling it breaks the factorization alone
     profile, _ = profile_of(TREFOIL)
     assert det_sign_crosscheck(p_of(TREFOIL), profile)
     assert not det_sign_crosscheck(p_of(TREFOIL), broken(profile))
@@ -574,11 +596,11 @@ def test_profile_invariants(v):
     assert profile.plateau_values[0] == 0
     assert all(p % 2 == 0 for p in profile.plateau_values)
     assert profile.value_at_minus_one == profile.plateau_values[-1]
-    sym_p, sym_n, sym_z = inertia(symmetrized_form(v))
+    sym_p, sym_n, sym_z = inertia(v_plus_vt(v))
     assert sym_z == 0
     assert profile.value_at_minus_one == sym_p - sym_n
     # B(-1) = 2(V + V^T), against the package's independent integer determinant
-    assert profile.det_at_minus_one == 4**v.genus * det_int(symmetrized_form(v))
+    assert profile.det_at_minus_one == 4**v.genus * det_int(v_plus_vt(v))
     assert profile.jump_angles == tuple(sorted(ws, key=lambda w: w.interval, reverse=True))
     for report in jump_reports(profile):
         assert abs(report.jump) <= 2 * report.root.multiplicity
@@ -684,8 +706,8 @@ def test_sample_point_in_z_range_is_exact_and_interior():
     for lo, hi in ((Fraction(-2), Fraction(2)), (Fraction(1), Fraction(2)), (Fraction(-2), Fraction(-1))):
         pt = sample_point_in_z_range(lo, hi)
         assert lo < pt.z < hi
-        w = pt.omega
-        assert w.re * w.re + w.im * w.im == 1
+        w_re, w_im = omega(pt)
+        assert w_re * w_re + w_im * w_im == 1
 
 
 @given(

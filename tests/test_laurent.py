@@ -54,14 +54,13 @@ from knotcert.laurent import (
     alexander_poly,
     isolate_unit_roots,
     sturm_chain,
-    sturm_count,
     to_z_poly,
     unproved_claim,
 )
 from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
 
 from conftest import seifert_matrices
-from oracles import distinct_real_roots_float
+from oracles import distinct_real_roots_float, sturm_count
 
 
 # --- Alexander polynomial ---------------------------------------------------
@@ -192,11 +191,11 @@ def test_isolating_intervals_count_one_against_squarefree_part():
     # each interval must contain exactly one root of the full square-free part,
     # also across different factors (here: (z-1)^2 * (z^2-z-1))
     p = to_z_poly(alexander_poly(block_sum(TORUS_2_5, granny_knot())))
-    chain = sturm_chain(_squarefree_part(list(p.coeffs)))
+    f = _squarefree_part(list(p.coeffs))
     ws = isolate_unit_roots(p)
     assert sorted(w.multiplicity for w in ws) == [1, 1, 2]
     for w in ws:
-        assert sturm_count(chain, w.interval[0], w.interval[1]) == 1
+        assert sturm_count(f, w.interval[0], w.interval[1]) == 1
 
 
 @pytest.mark.parametrize("bits", [0, 3, 32])
@@ -308,9 +307,13 @@ def test_alexander_congruence_invariant_on_twisted_block_sums(genus):
 
 
 def test_sturm_count_halfopen_convention():
-    chain = sturm_chain([-1, 1])  # z - 1
-    assert sturm_count(chain, Fraction(0), Fraction(1)) == 1  # root at right endpoint
-    assert sturm_count(chain, Fraction(1), Fraction(2)) == 0
+    # the oracle's own check: roots at either end, none, and a constant
+    f = [-1, 1]  # z - 1
+    assert sturm_count(f, Fraction(0), Fraction(1)) == 1  # root at right endpoint
+    assert sturm_count(f, Fraction(1), Fraction(2)) == 0
+    assert sturm_count([-2, 0, 1], Fraction(-2), Fraction(2)) == 2  # +-sqrt(2)
+    assert sturm_count([3, -16, 16], Fraction(1, 4), Fraction(3, 4)) == 1  # 1/4 and 3/4
+    assert sturm_count([5], Fraction(0), Fraction(1)) == 0
 
 
 def test_sturm_isolation_matches_floating_roots():
@@ -365,16 +368,15 @@ def test_sign_at_rejects_inexact_points():
 
 def _halves(f, ka, kb, d, steps):
     """Halve (ka/d, kb/d] ``steps`` times, checking each step against a Sturm count."""
-    chain = sturm_chain(f)
     s_b = _sign_at(f, Fraction(kb, d))
     for _ in range(steps):
         a, b = Fraction(ka, d), Fraction(kb, d)
         mid = (a + b) / 2
-        sturm_half = (mid, b) if sturm_count(chain, mid, b) == 1 else (a, mid)
+        sturm_half = (mid, b) if sturm_count(f, mid, b) == 1 else (a, mid)
         ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
         assert (Fraction(ka, d), Fraction(kb, d)) == sturm_half
         assert s_b == _sign_at(f, sturm_half[1])
-        assert sturm_count(chain, *sturm_half) == 1
+        assert sturm_count(f, *sturm_half) == 1
     return Fraction(ka, d), Fraction(kb, d)
 
 
@@ -390,7 +392,7 @@ def test_descartes_variations_agree_with_sturm_count(coeffs, lo, width):
     f = _squarefree_part(p)
     hi = lo + width
     # distinct roots in the open interval (lo, hi); sturm_count counts (lo, hi]
-    roots = sturm_count(sturm_chain(f), lo, hi) - (_sign_at(f, hi) == 0)
+    roots = sturm_count(f, lo, hi) - (_sign_at(f, hi) == 0)
     d = lo.denominator * hi.denominator
     variations = _descartes_variations(f, int(lo * d), int(hi * d), d)
     # Descartes' rule: an upper bound of the same parity, exact at 0 and 1
@@ -467,6 +469,10 @@ def test_multiplicity_proof_rejects_a_hint_with_a_double_root_at_hi():
     p, lo, hi = [1, -2, 1], Fraction(0), Fraction(1)
     assert _multiplicity_proved(p, [-1, 1], 2, lo, hi)
     assert not _multiplicity_proved(p, p, 1, lo, hi)
+    # the first step, one simple root of the hint in (lo, hi]: with P = f and
+    # m = 1, f = 16z^2 - 16z + 3 has two roots there (1/4, 3/4) and z - 10 none
+    for f in ([3, -16, 16], [-10, 1]):
+        assert not _multiplicity_proved(f, f, 1, lo, hi)
 
 
 def test_unproved_claim_returns_the_first_claim_it_cannot_prove():
@@ -520,8 +526,7 @@ def test_halve_from_a_non_dyadic_start():
     checked = 0
     for f in ([-1, 1], [1, -3], [-2, 0, 1], [1, 1, -5, 0, 3]):
         for ka, kb in ((-7, 7), (-7, 0), (0, 7)):
-            chain = sturm_chain(f)
-            if sturm_count(chain, Fraction(ka, 3), Fraction(kb, 3)) == 1:
+            if sturm_count(f, Fraction(ka, 3), Fraction(kb, 3)) == 1:
                 lo, hi = _halves(f, ka, kb, 3, 40)
                 assert hi - lo == Fraction(kb - ka, 3 * 2**40)
                 checked += 1

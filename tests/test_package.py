@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -130,3 +131,16 @@ def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
     )
     proc = _python("-c", code, str(corpus))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_source_has_no_assert_statement():
+    # python -O strips assert statements, so every fail-closed check must raise
+    files = sorted(Path(knotcert.__file__).parent.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

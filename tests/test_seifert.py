@@ -10,7 +10,6 @@ from knotcert.seifert import (
     block_sum,
     det_int,
     mirror,
-    symmetrized_form,
     validate,
 )
 
@@ -81,12 +80,6 @@ def test_mirror_examples():
 
 def test_mirror_is_involution():
     assert mirror(mirror(TREFOIL)).entries == TREFOIL.entries
-
-
-def test_symmetrized_form_examples():
-    assert symmetrized_form(TREFOIL) == ((-2, 1), (1, -2))
-    assert symmetrized_form(validate([[1, 1], [0, -1]])) == ((2, 1), (1, -2))
-    assert symmetrized_form(UNKNOT) == ()
 
 
 @given(seifert_matrices())
