@@ -11,10 +11,8 @@ error reads the same.  An entry is one if an Alexander coefficient or root
 interval endpoint it prints is too long to write (signature prints neither).
 Each command loads only the layers it runs: validate, alexander and roots
 load corpus, errors, laurent and seifert; signature, certify and report
-also load certify and inertia, which the command functions below import,
-and, for a matrix of size 8 or more on more than one CPU, multiprocessing
-and concurrent.futures, whose worker processes evaluate the plateau forms
-and are joined before the entry's certificate is made.
+also load certify and inertia, which the command functions below import;
+every plateau form is evaluated in one loop in this process.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 an error row
 or another input or validation error (a missing, unreadable or non-UTF-8
 --input, an --out that names a directory, or an --out or --plot path that

@@ -22,11 +22,8 @@ roots are stripped as trailing zero coefficients.
 
 Signature jumps can occur only at the isolated Alexander roots, so the
 signature is a step function; every plateau is sampled once, strictly
-between consecutive isolating intervals.  All samples are picked first; the
-plateau evaluations, which do not depend on each other, then run in forked
-worker processes for a matrix of size 8 or more when more than one CPU is
-available and forking is safe (``_plateaus``), else in this process.  Either
-way the results, and every check run on them, are the same.
+between consecutive isolating intervals.  The plateaus, and w = -1, are
+evaluated in one loop in this process.
 
 Near w = 1 the form expands as B(e^(i theta)) = i*theta*(V^T - V) + O(theta^2):
 i times a real antisymmetric matrix has symmetric spectrum, and
@@ -42,7 +39,6 @@ finite-difference slope estimate below is a display-only diagnostic.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -208,13 +204,14 @@ def inertia(h) -> tuple[int, int, int]:
     """Exact (positives, negatives, zeros) eigenvalue counts of a Hermitian matrix.
 
     Entries may be GaussianRational, Fraction, or int.  The signature is
-    positives - negatives.
+    positives - negatives.  A matrix that is not square and Hermitian raises
+    ValueError.
     """
     pairs = [
         [(x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x), Fraction(0)) for x in r]
         for r in h
     ]
-    if not _is_hermitian(pairs):
+    if any(len(r) != len(pairs) for r in pairs) or not _is_hermitian(pairs):
         raise ValueError("inertia requires a Hermitian matrix")
     return _inertia_and_det(pairs)[:3]
 
@@ -244,47 +241,6 @@ def _plateau(v: SeifertMatrix, p: int, q: int) -> tuple[int, int, Fraction]:
     c, h = _hermitian_h(v, p, q)
     pos, neg, zeros, det_h = _inertia_and_det(h)
     return pos - neg, zeros, c**v.size * det_h
-
-
-# Plateau evaluations go to worker processes from this matrix size on: the
-# measured crossover, not a workload boundary.  On a 2-CPU host, in 20
-# alternating in-process pairs of signature_profile, loop -> pool: at n = 6,
-# T(2,7) went 26.6 -> 27.3 ms (4/20 pool wins) and a dense genus-3 sum 38.2 ->
-# 35.0 ms (13/20); at n = 8, T(2,9) went 78 -> 52 ms (20/20) and a dense genus-4
-# sum 186 -> 110 ms (20/20).  The pool's imports cost a process about 20 ms more.
-_PARALLEL_MIN_SIZE = 8
-
-
-def _plateaus(v: SeifertMatrix, points: list[tuple[int, int]]) -> list[tuple[int, int, Fraction]]:
-    """``_plateau(v, p, q)`` for each (p, q) of ``points``, in order.
-
-    From size _PARALLEL_MIN_SIZE on, with more than one CPU available, the
-    evaluations run in forked worker processes, one per CPU up to one per
-    point, if forking is safe here: the fork start method exists, this is not
-    itself a worker process, and no other thread is alive (a thread's held
-    lock would stay held in the child).  Workers are forked, not spawned,
-    because a spawned one imports the package afresh.  Each evaluation is
-    pure and map keeps the order, so the results are those of the loop; a
-    worker's exception is re-raised with its own type at the first failing
-    point.  The pool is shut down, and its workers joined, before returning.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(points))
-    if v.size >= _PARALLEL_MIN_SIZE and workers > 1:
-        import multiprocessing
-        import threading
-
-        if (
-            "fork" in multiprocessing.get_all_start_methods()
-            and multiprocessing.parent_process() is None
-            and threading.active_count() == 1
-        ):
-            from concurrent.futures import ProcessPoolExecutor
-
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                return list(pool.map(_plateau, [v] * len(points), *zip(*points)))
-    return [_plateau(v, p, q) for p, q in points]
 
 
 def _b_pairs(v: SeifertMatrix, point: UnitCirclePoint) -> Pairs:
@@ -352,9 +308,8 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
     by_angle = sorted(witnesses, key=lambda w: w.interval, reverse=True)
     ranges = arc_z_ranges(by_angle)
     samples = [sample_point_in_z_range(z_lo, z_hi) for z_lo, z_hi in ranges]
-    *at_samples, (sig_m1, zeros_m1, det_m1) = _plateaus(
-        v, [(s.u.numerator, s.u.denominator) for s in samples] + [(1, 0)]
-    )
+    at_samples = [_plateau(v, s.u.numerator, s.u.denominator) for s in samples]
+    sig_m1, zeros_m1, det_m1 = _plateau(v, 1, 0)
     for (z_lo, z_hi), (sig, zeros, _) in zip(ranges, at_samples):
         if zeros != 0:
             raise InternalInconsistencyError(

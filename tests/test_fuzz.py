@@ -2,8 +2,8 @@
 
 The parsers are fuzzed with random text; report, and through it every
 certify stage, with perturbed valid matrices of genus up to 4: some become
-invalid rows and some stay valid with entries near 2^64.  Genus 4 (size 8)
-is where the plateau forms are evaluated in worker processes.
+invalid rows and some stay valid with entries near 2^64.  Every plateau
+form is evaluated in one loop, whatever the genus.
 """
 
 from __future__ import annotations

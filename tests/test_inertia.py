@@ -1,16 +1,13 @@
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import importlib
 import math
-import multiprocessing
 import os
 import random
 import re
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -160,8 +157,10 @@ def test_inertia_examples():
 
 
 def test_inertia_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        inertia([[0, 1], [2, 0]])
+    # non-square and ragged inputs are rejected as non-Hermitian, not indexed past
+    for h in [[[0, 1], [2, 0]], [[1, 2]], [[1], [2]], [[1, 0, 5], [0, 2, 7]], [[1, 2], [3]]]:
+        with pytest.raises(ValueError, match="inertia requires a Hermitian matrix"):
+            inertia(h)
 
 
 def test_inertia_with_gaussian_entries():
@@ -336,12 +335,14 @@ def test_profile_unknot():
 
 
 def test_profile_samples_are_strictly_between_roots():
-    profile, ws = profile_of(TORUS_2_5)
-    zs = [p.z for p in profile.arc_samples]
-    assert all(z2 < z1 for z1, z2 in zip(zs, zs[1:]))  # angle-ordered
-    for w in ws:
-        for z in zs:
-            assert not (w.interval[0] < z <= w.interval[1])
+    for v in [TORUS_2_5, granny_knot(), square_knot(), torus_knot(3, 4), torus_knot(4, 5)]:
+        profile, ws = profile_of(v)
+        assert len(profile.arc_samples) == len(profile.arc_dets) == len(ws) + 1
+        zs = [p.z for p in profile.arc_samples]
+        assert all(z2 < z1 for z1, z2 in zip(zs, zs[1:]))  # angle-ordered
+        for w in ws:
+            for z in zs:
+                assert not (w.interval[0] < z <= w.interval[1])
 
 
 # --- jumps --------------------------------------------------------------------
@@ -460,105 +461,6 @@ def test_profile_fails_closed_on_a_broken_plateau(at_samples, at_minus_one, mess
     monkeypatch.setattr(module, "_plateau", plateau)
     with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
         signature_profile(TREFOIL, isolate_unit_roots(p_of(TREFOIL)))
-
-
-# --- plateau evaluation in worker processes ---------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the process pools made, with the pool from size 2 on two CPUs."""
-    monkeypatch.setattr(importlib.import_module("knotcert.inertia"), "_PARALLEL_MIN_SIZE", 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    made = []
-
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    yield made
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-@pytest.mark.parametrize(
-    "v",
-    [granny_knot(), square_knot(), torus_knot(3, 4), torus_knot(4, 5)],
-    ids=["granny", "square", "T(3,4)", "T(4,5)"],
-)
-def test_profile_in_worker_processes_equals_the_loop(v, pools, monkeypatch):
-    witnesses = isolate_unit_roots(p_of(v))
-    pooled = signature_profile(v, witnesses)
-    assert pools == [2]
-    monkeypatch.setattr(importlib.import_module("knotcert.inertia"), "_PARALLEL_MIN_SIZE", 10**9)
-    looped = signature_profile(v, witnesses)
-    assert pools == [2]
-    for field in dataclasses.fields(looped):
-        assert getattr(pooled, field.name) == getattr(looped, field.name), field.name
-    assert len(pooled.arc_samples) == len(pooled.arc_dets) == len(witnesses) + 1
-
-
-@needs_fork
-def test_singular_sample_in_a_worker_still_raises(pools, monkeypatch):
-    module = importlib.import_module("knotcert.inertia")
-    real = module._inertia_and_det
-
-    def singular(h):
-        pos, neg, _, det = real(h)
-        return pos, neg, 1, det
-
-    # the forked workers inherit the changed module
-    monkeypatch.setattr(module, "_inertia_and_det", singular)
-    with pytest.raises(InternalInconsistencyError, match="singular sample in root-free z range"):
-        profile_of(granny_knot())
-    assert pools == [2]
-
-
-@needs_fork
-def test_worker_exception_keeps_its_type_and_the_first_failing_point(pools, monkeypatch):
-    # every evaluation fails, naming its H; the first arc sample's failure comes back
-    module = importlib.import_module("knotcert.inertia")
-    profile, witnesses = profile_of(square_knot())
-    u = profile.arc_samples[0].u
-    first = module._hermitian_h(square_knot(), u.numerator, u.denominator)[1]
-
-    def boom(h):
-        raise InternalInconsistencyError(f"forced at {h!r}")
-
-    monkeypatch.setattr(module, "_inertia_and_det", boom)
-    with pytest.raises(InternalInconsistencyError) as caught:
-        signature_profile(square_knot(), witnesses)
-    assert str(caught.value) == f"forced at {first!r}"
-    assert pools == [2, 2]
-
-
-@needs_fork
-@pytest.mark.parametrize("why", ["one CPU", "second thread"])
-def test_no_pool_with_one_cpu_or_a_second_live_thread(why, pools, monkeypatch):
-    expected, _ = profile_of(TORUS_2_5)
-    assert pools == [2]
-    if why == "one CPU":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert profile_of(TORUS_2_5)[0] == expected
-    else:
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert profile_of(TORUS_2_5)[0] == expected
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-    assert pools == [2]
 
 
 # --- reporting transform --------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import knotcert
+from knotcert.fixtures import torus_knot
 
 SRC = str(Path(knotcert.__file__).resolve().parents[1])
 TREFOIL = [{"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}]
@@ -107,14 +108,15 @@ def _imported_modules(stderr: str) -> set[str]:
 )
 def test_commands_load_only_the_layers_they_run(command, loads_certify, tmp_path):
     corpus = tmp_path / "c.json"
-    corpus.write_text(json.dumps(TREFOIL))
+    t29 = [list(row) for row in torus_knot(2, 9).entries]  # size 8
+    corpus.write_text(json.dumps(TREFOIL + [{"name": "T(2,9)", "seifert": t29}]))
     proc = _python("-X", "importtime", "-m", "knotcert", command, "--input", str(corpus))
     assert proc.returncode == 0, proc.stderr
     loaded = _imported_modules(proc.stderr)
     assert "knotcert.cli" in loaded and "knotcert.laurent" in loaded
     assert ("knotcert.certify" in loaded) is loads_certify
     assert ("knotcert.inertia" in loaded) is loads_certify
-    # plateaus of a small matrix are evaluated in this process
+    # the plateaus of every matrix are evaluated in this process
     assert not {"multiprocessing", "concurrent.futures"} & loaded
 
 
