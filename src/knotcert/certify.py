@@ -137,10 +137,10 @@ def certify(
 ) -> Certificate:
     """Run the full pipeline on a Seifert matrix and emit a certificate.
 
-    ``v`` may be a validated SeifertMatrix, which is trusted as is, or a raw
-    matrix; raw inputs failing validation, non-integer entries included,
-    yield an INVALID_INPUT certificate rather than raising.  Any failed
-    internal consistency check raises InternalInconsistencyError; a
+    ``v`` may be a SeifertMatrix, which checked itself when it was built, or
+    a raw matrix; raw inputs failing validation, non-integer entries
+    included, yield an INVALID_INPUT certificate rather than raising.  Any
+    failed internal consistency check raises InternalInconsistencyError; a
     certificate with failed checks is never emitted.  The first checks, right
     after isolation, are ``laurent.unproved_claim``: they prove that no
     plateau arc holds a root of P and that each witness holds one root of P

@@ -200,17 +200,23 @@ def _inertia_from_char_poly(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
     return positives, negatives, zeros
 
 
+def _exact_pair(x) -> tuple[int | Fraction, int | Fraction]:
+    """(re, im) of an ``inertia`` entry: an int, a Fraction, or a GaussianRational of them."""
+    pair = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+    if any(isinstance(y, bool) or not isinstance(y, (int, Fraction)) for y in pair):
+        raise TypeError(f"inertia needs int or Fraction entries, not {x!r}")
+    return pair
+
+
 def inertia(h) -> tuple[int, int, int]:
     """Exact (positives, negatives, zeros) eigenvalue counts of a Hermitian matrix.
 
-    Entries may be GaussianRational, Fraction, or int.  The signature is
-    positives - negatives.  A matrix that is not square and Hermitian raises
-    ValueError.
+    Entries may be GaussianRational, Fraction, or int, the parts of a
+    GaussianRational likewise; anything else, bool included, raises
+    TypeError.  The signature is positives - negatives.  A matrix that is not
+    square and Hermitian raises ValueError.
     """
-    pairs = [
-        [(x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x), Fraction(0)) for x in r]
-        for r in h
-    ]
+    pairs = [[_exact_pair(x) for x in r] for r in h]
     if any(len(r) != len(pairs) for r in pairs) or not _is_hermitian(pairs):
         raise ValueError("inertia requires a Hermitian matrix")
     return _inertia_and_det(pairs)[:3]

@@ -7,8 +7,9 @@ Conventions used throughout:
 * The Alexander polynomial of a Seifert matrix V of size 2g is
   Delta(t) = t^(-g) * det(t*V - V^T), which avoids half-integer powers of t
   and lands in the symmetric Laurent representative with Delta(1) = 1.  Its
-  P (below) is interpolated exactly from g+1 integer determinants by
-  ``seifert.det_int``, the package's one determinant routine.
+  P (below) is interpolated exactly from P(2) = det(V - V^T) = 1, which
+  ``SeifertMatrix`` checked when it was built, and g integer determinants
+  by ``seifert.det_int``, the package's one determinant routine.
 * A reciprocal Laurent polynomial Delta determines a unique integer
   polynomial P with Delta(t) = P(t + 1/t), since (t + 1/t)^k has top term
   t^k; ``to_z_poly`` peels it off from the top.  Roots of Delta on the unit
@@ -50,7 +51,7 @@ from .errors import (
     RootAtPlusMinusOneError,
     ZeroPolynomialError,
 )
-from .seifert import SeifertMatrix, det_int
+from .seifert import SeifertMatrix, _exact_ints, det_int
 
 IntPoly = list[int]
 
@@ -186,7 +187,9 @@ class SymmetricLaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int]):
-        cleaned = {k: int(v) for k, v in coeffs.items() if v != 0}
+        exponents = _exact_ints(coeffs, "Laurent exponents")
+        values = _exact_ints(coeffs.values(), "polynomial coefficients")
+        cleaned = {k: v for k, v in zip(exponents, values) if v != 0}
         for k, v in cleaned.items():
             if cleaned.get(-k, 0) != v:
                 raise NotReciprocalError(
@@ -254,7 +257,7 @@ class ZPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(_trim([int(x) for x in coeffs]))
+        self.coeffs = tuple(_trim(list(_exact_ints(coeffs, "polynomial coefficients"))))
 
     @property
     def degree(self) -> int:
@@ -319,14 +322,16 @@ def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
     det(t*V - V^T) is palindromic of degree 2g, so Delta(t) = P(t + 1/t) for
     an integer polynomial P of degree at most g.  P is interpolated exactly,
     in Newton form over ``Fraction``, from its values
-    P(k + 1/k) = det(k*V - V^T) / k^g at the g+1 nodes k = 1, ..., g+1, each
-    an integer determinant, and then expanded back in t.
+    P(k + 1/k) = det(k*V - V^T) / k^g at the g+1 nodes k = 1, ..., g+1, and
+    then expanded back in t.  The node k = 1 is P(2) = det(V - V^T) = 1,
+    which ``SeifertMatrix`` checked, so only the g determinants for
+    k = 2, ..., g+1 are taken.
     """
     e, n, g = v.entries, v.size, v.genus
     nodes = [Fraction(k * k + 1, k) for k in range(1, g + 2)]
-    diffs = [
+    diffs = [Fraction(1)] + [
         Fraction(det_int([[k * e[i][j] - e[j][i] for j in range(n)] for i in range(n)]), k**g)
-        for k in range(1, g + 2)
+        for k in range(2, g + 2)
     ]
     # divided differences: after pass j, diffs[i] = P[nodes[i-j], ..., nodes[i]]
     for j in range(1, g + 1):
@@ -339,14 +344,7 @@ def alexander_poly(v: SeifertMatrix) -> SymmetricLaurentPoly:
         p = [diffs[i] - x * p[0], *(a - x * b for a, b in zip(p, p[1:])), p[-1]]
     if any(a.denominator != 1 for a in p):
         raise InternalInconsistencyError("interpolated P must have integer coefficients")
-    coeffs = _expand_in_t(ZPoly(int(a) for a in p))
-    # Delta(1) = P(2) = det(V - V^T), a Pfaffian squared, so never -1
-    value_at_one = sum(coeffs.values())
-    if value_at_one != 1:
-        raise NormalizationError(
-            f"Delta(1) = {value_at_one}; the matrix cannot be a valid Seifert matrix"
-        )
-    poly = SymmetricLaurentPoly(coeffs)
+    poly = SymmetricLaurentPoly(_expand_in_t(ZPoly(a.numerator for a in p)))
     if poly.max_exponent > g:
         raise InternalInconsistencyError(f"Delta has degree {poly.max_exponent} above the genus {g}")
     return poly

@@ -4,14 +4,15 @@ A Seifert matrix is the 2g x 2g integer linking matrix V of a basis of a
 genus-g Seifert surface, with V[i][j] the linking number of the i-th basis
 curve with the positive pushoff of the j-th.  V - V^T is then the
 intersection form of the surface, which forces det(V - V^T) = 1 exactly.
-The 0 x 0 matrix is accepted and represents the unknot.
+The 0 x 0 matrix is the unknot.  A ``SeifertMatrix`` checks all this when
+built, so later stages take det(V - V^T) = 1 as known.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError, NonSquareError, NonSymplecticError, OddSizeError
 
@@ -20,13 +21,32 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """A validated 2g x 2g integer linking matrix.
+    """An immutable 2g x 2g integer linking matrix with det(V - V^T) = 1.
 
-    Instances are immutable; construct them through :func:`validate`.
+    It checks itself when built: entries must be exact integers (else
+    TypeError), the matrix square (NonSquareError) and of even size
+    (OddSizeError), and det(V - V^T) = 1 exactly (NonSymplecticError; an
+    integral symplectic form has determinant +1, so -1 is refused too).
     """
 
     entries: Matrix
     name: str | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        m = tuple(_exact_ints(row, "matrix entries") for row in self.entries)
+        n = len(m)
+        if any(len(row) != n for row in m):
+            raise NonSquareError(f"matrix is {n} rows but has a row of different length")
+        if n % 2 != 0:
+            raise OddSizeError(f"matrix size {n} is odd; Seifert matrices are 2g x 2g")
+        d = det_int([[m[i][j] - m[j][i] for j in range(n)] for i in range(n)])
+        if d != 1:
+            try:
+                shown = f"= {d}"
+            except ValueError:  # more digits than the int-to-str limit allows
+                shown = f"is a {d.bit_length()}-bit integer"
+            raise NonSymplecticError(f"det(V - V^T) {shown}, expected 1")
+        object.__setattr__(self, "entries", m)
 
     @property
     def size(self) -> int:
@@ -50,14 +70,13 @@ class KnotMetadata:
     assume_m0_prime: bool = False
 
 
-def _as_matrix(entries: Sequence[Sequence[int]]) -> Matrix:
-    rows = []
-    for row in entries:
-        if any(isinstance(x, bool) for x in row):
-            raise TypeError("matrix entries must be integers, not booleans")
-        # operator.index rejects floats and strings instead of truncating
-        rows.append(tuple(operator.index(x) for x in row))
-    return tuple(rows)
+def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as ints: the one rule for exact integers at the package's edges."""
+    values = tuple(values)
+    if any(isinstance(x, bool) for x in values):
+        raise TypeError(f"{what} must be integers, not booleans")
+    # operator.index rejects floats and strings instead of truncating
+    return tuple(operator.index(x) for x in values)
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -88,40 +107,15 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def validate(entries: Sequence[Sequence[int]], name: str | None = None) -> SeifertMatrix:
-    """Check that ``entries`` is a square, even-sized matrix with det(V - V^T) = 1.
-
-    Raises NonSquareError, OddSizeError, or NonSymplecticError; the sign of
-    the determinant matters (a 2g x 2g integral symplectic form always has
-    determinant +1, so -1 already signals a non-Seifert input).
-    """
-    m = _as_matrix(entries)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise NonSquareError(f"matrix is {n} rows but has a row of different length")
-    if n % 2 != 0:
-        raise OddSizeError(f"matrix size {n} is odd; Seifert matrices are 2g x 2g")
-    skew = [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]
-    d = det_int(skew)
-    if d != 1:
-        try:
-            shown = f"= {d}"
-        except ValueError:  # more digits than the int-to-str limit allows
-            shown = f"is a {d.bit_length()}-bit integer"
-        raise NonSymplecticError(f"det(V - V^T) {shown}, expected 1")
-    return SeifertMatrix(entries=m, name=name)
+    """The SeifertMatrix of ``entries``; raises as its constructor does."""
+    return SeifertMatrix(entries=entries, name=name)
 
 
 def block_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:
     """Block-diagonal sum, the Seifert matrix of the connected sum."""
     n1, n2 = v1.size, v2.size
-    rows = []
-    for i in range(n1):
-        rows.append(v1.entries[i] + (0,) * n2)
-    for i in range(n2):
-        rows.append((0,) * n1 + v2.entries[i])
-    name = None
-    if v1.name and v2.name:
-        name = f"{v1.name}#{v2.name}"
+    rows = [row + (0,) * n2 for row in v1.entries] + [(0,) * n1 + row for row in v2.entries]
+    name = f"{v1.name}#{v2.name}" if v1.name and v2.name else None
     return validate(rows, name=name)
 
 

@@ -300,6 +300,13 @@ def test_certificate_json_missing_defaulted_keys_read_back_as_defaults():
     assert parsed == dataclasses.replace(cert, **dict.fromkeys(defaulted))
 
 
+def test_certificate_json_rejects_a_non_integer_alexander_coefficient():
+    obj = json.loads(certificates_to_json([certify(TREFOIL, name="trefoil")]))[0]
+    obj["alexander"]["0"] = -1.9
+    with pytest.raises(TypeError):
+        certificates_from_json(json.dumps([obj]))
+
+
 def test_certificate_json_carries_schema_fields():
     cert = certify(TREFOIL, name="trefoil")
     obj = json.loads(certificates_to_json([cert]))[0]

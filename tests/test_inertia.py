@@ -172,6 +172,20 @@ def test_inertia_with_gaussian_entries():
 
 
 
+def test_inertia_reads_only_exact_entries():
+    assert inertia([[1, Fraction(1, 2)], [GaussianRational(Fraction(1, 2)), 3]]) == (2, 0, 0)
+    for h in (
+        [["1/2"]],
+        [[0.5]],
+        [[True]],
+        [[GaussianRational(0.1)]],
+        [[GaussianRational(Fraction(1), 0.0)]],
+        [[GaussianRational(Fraction(1), False)]],
+    ):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            inertia(h)
+
+
 def test_char_poly_fails_closed_on_a_non_real_trace(monkeypatch):
     # the Hermitian guard stops every input that could make a trace non-real,
     # so the per-step check is reached by a product that gains i on its diagonal

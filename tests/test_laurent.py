@@ -15,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 from knotcert.errors import (
+    InternalInconsistencyError,
+    NonSymplecticError,
     NormalizationError,
     NotReciprocalError,
     RootAtPlusMinusOneError,
@@ -97,11 +99,89 @@ def test_symmetric_laurent_rejects_bad_normalization():
 
 
 def test_alexander_rejects_an_unvalidated_matrix_with_det_4():
-    # det(V - V^T) = 4, which validate() would have refused; Delta(1) = 4
-    v = SeifertMatrix(entries=((0, 2), (0, 0)))
-    with pytest.raises(NormalizationError) as exc:
-        alexander_poly(v)
-    assert str(exc.value) == "Delta(1) = 4; the matrix cannot be a valid Seifert matrix"
+    # det(V - V^T) = 4: the matrix is refused when it is built, so no
+    # alexander_poly call can see it
+    with pytest.raises(NonSymplecticError) as exc:
+        SeifertMatrix(entries=((0, 2), (0, 0)))
+    assert str(exc.value) == "det(V - V^T) = 4, expected 1"
+
+
+@pytest.mark.parametrize("v", [UNKNOT, TREFOIL, TORUS_2_5, TORUS_2_7], ids=lambda v: v.name)
+def test_alexander_takes_one_determinant_per_genus(v, monkeypatch):
+    # P(2) = det(V - V^T) = 1 is known from validation, so only
+    # det(k*V - V^T) for k = 2, ..., g+1 is taken
+    import knotcert.laurent as laurent_mod
+
+    calls = []
+    real = laurent_mod.det_int
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(laurent_mod, "det_int", counting)
+    alexander_poly(v)
+    assert len(calls) == v.genus
+
+
+def test_alexander_fails_closed_on_a_non_integer_interpolant(monkeypatch):
+    # at genus 2 the node k = 3 enters P's leading coefficient with weight
+    # 9/10 and its value is det / 9, so a determinant off by 1 moves it by 1/10
+    import knotcert.laurent as laurent_mod
+
+    calls = []
+    real = laurent_mod.det_int
+
+    def off_by_one(m):
+        calls.append(m)
+        return real(m) + (len(calls) == 2)
+
+    monkeypatch.setattr(laurent_mod, "det_int", off_by_one)
+    with pytest.raises(InternalInconsistencyError, match="^interpolated P must have integer"):
+        alexander_poly(TORUS_2_5)
+
+
+def test_alexander_fails_closed_on_a_degree_above_the_genus(monkeypatch):
+    # t^2 + t^-2 - 2 keeps reciprocity and Delta(1) = 1, so only the degree
+    # check sees it on the genus-1 trefoil
+    import knotcert.laurent as laurent_mod
+
+    real = laurent_mod._expand_in_t
+
+    def padded(p):
+        coeffs = real(p)
+        for k, c in ((2, 1), (-2, 1), (0, -2)):
+            coeffs[k] = coeffs.get(k, 0) + c
+        return coeffs
+
+    monkeypatch.setattr(laurent_mod, "_expand_in_t", padded)
+    with pytest.raises(InternalInconsistencyError, match="^Delta has degree 2 above the genus 1$"):
+        alexander_poly(TREFOIL)
+
+
+def test_yun_fails_closed_on_an_inexact_division(monkeypatch):
+    # a "gcd" of z - 1 and its derivative that does not divide it
+    import knotcert.laurent as laurent_mod
+
+    monkeypatch.setattr(laurent_mod, "_pgcd", lambda a, b: [2])
+    with pytest.raises(InternalInconsistencyError, match="^division is not exact"):
+        laurent_mod._yun([-1, 1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ZPoly([1.5, 1]),  # once read as z + 1, with a root at z = -1
+        lambda: ZPoly([True, 1]),
+        lambda: SymmetricLaurentPoly({1: 1, 0: -1.9, -1: 1}),  # once the trefoil's Delta
+        lambda: SymmetricLaurentPoly({0.5: 1, -0.5: 1, 0: -1}),
+        lambda: SymmetricLaurentPoly({True: 1, 0: 1, -1: 1}),
+    ],
+    ids=["float", "bool", "float-coefficient", "float-exponent", "bool-exponent"],
+)
+def test_polynomials_take_only_exact_integers(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 # --- z-reduction ------------------------------------------------------------
@@ -473,6 +553,12 @@ def test_multiplicity_proof_rejects_a_hint_with_a_double_root_at_hi():
     # m = 1, f = 16z^2 - 16z + 3 has two roots there (1/4, 3/4) and z - 10 none
     for f in ([3, -16, 16], [-10, 1]):
         assert not _multiplicity_proved(f, f, 1, lo, hi)
+
+
+def test_multiplicity_proof_rejects_a_multiplicity_below_one():
+    # only the argument guard refuses m = 0: the hint 2z - 1 has one simple
+    # root in (0, 1], f^0 divides P, and P = z - 10 has no root there
+    assert not _multiplicity_proved([-10, 1], [-1, 2], 0, Fraction(0), Fraction(1))
 
 
 def test_unproved_claim_returns_the_first_claim_it_cannot_prove():

@@ -75,3 +75,14 @@ def test_plot_gallery_is_deterministic(tmp_path):
     files = _files(first)
     assert {"trefoil.svg", "trefoil.csv"} <= set(files)
     assert files == _files(second)
+
+
+def test_mutation_gate_lists_its_sites_and_runs_nothing():
+    lines = _run("mutation_gate.py", "--list").stdout.splitlines()
+    assert "seifert.py" in lines[-1] and lines[-1].endswith(" det_int raise")
+    for line in lines:
+        where, function, kind = line.split(" ", 2)
+        name, lineno = where.split(":")
+        assert (SCRIPTS.parent / "src" / "knotcert" / name).is_file() and int(lineno) > 0
+        assert kind in ("raise", "return False")
+    assert any(line.endswith(" _multiplicity_proved return False") for line in lines)

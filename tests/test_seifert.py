@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from knotcert.errors import NonSquareError, NonSymplecticError, OddSizeError
+from knotcert.errors import (
+    InternalInconsistencyError,
+    NonSquareError,
+    NonSymplecticError,
+    OddSizeError,
+)
 from knotcert.fixtures import TREFOIL, UNKNOT, granny_knot, square_knot
 from knotcert.seifert import (
+    SeifertMatrix,
     block_sum,
     det_int,
     mirror,
@@ -55,6 +63,27 @@ def test_validate_rejects_ragged():
 def test_validate_rejects_wrong_skew_determinant():
     with pytest.raises(NonSymplecticError):
         validate([[0, 2], [0, 0]])  # det(V - V^T) = 4
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        (((1, 2), (3,)), NonSquareError),
+        (((1,),), OddSizeError),
+        (((1.5, 1), (0, -1)), TypeError),
+        (((True, 1), (0, -1)), TypeError),
+    ],
+)
+def test_a_hand_built_matrix_checks_itself(entries, error):
+    with pytest.raises(error):
+        SeifertMatrix(entries=entries)
+
+
+def test_det_int_fails_closed_on_an_inexact_bareiss_division():
+    # a Fraction entry: the first Bareiss step leaves 1/2 * 1 - 1 * 1 = -1/2,
+    # which the exact division by 1 over the integers refuses
+    with pytest.raises(InternalInconsistencyError, match="^Bareiss division must be exact"):
+        det_int([[Fraction(1, 2), 1], [1, 1]])
 
 
 def test_genus_examples():
