@@ -3,15 +3,17 @@
 A site is a ``raise InternalInconsistencyError(...)`` statement or a check's
 ``return False``, found with ``ast``.  Each site in turn is replaced by
 ``pass`` in a temporary copy of the checkout, and the tier-1 suite runs
-there with ``-x -q``.  A mutant that passes the suite survives.  The gate
-exits 1 if the unmutated copy fails the suite, if a survivor is missing
-from REVIEWED_SURVIVORS, or if an entry there no longer survives.
+there with ``-x -q``: first the mutated module's own tests
+(``tests/test_<module>*.py``), then, if those pass, the rest.  A mutant that
+passes the suite survives.  The gate exits 1 if the unmutated copy fails the
+suite, if a survivor is missing from REVIEWED_SURVIVORS, or if an entry there
+no longer survives.
 
     python scripts/mutation_gate.py          # every mutant in turn, serially
     python scripts/mutation_gate.py --list   # print the sites and run nothing
 
-Stdlib only.  A caught mutant costs seconds; a survivor costs a full tier-1
-run.
+Stdlib only.  A mutant its module's tests catch costs seconds; a survivor
+costs a full tier-1 run.
 """
 
 from __future__ import annotations
@@ -77,8 +79,11 @@ def mutant(source: bytes, node: ast.stmt) -> bytes:
     return out
 
 
-def tier1_passes(checkout: Path) -> bool:
-    """Whether the tier-1 suite passes in checkout, stopping at the first failure."""
+def tier1_passes(checkout: Path, first: tuple[str, ...] = ()) -> bool:
+    """Whether the tier-1 suite passes in checkout, stopping at the first failure.
+
+    The test files ``first``, paths relative to checkout, run before the rest.
+    """
     src = str(checkout / "src")
     env = {
         **os.environ,
@@ -87,8 +92,14 @@ def tier1_passes(checkout: Path) -> bool:
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     command = [sys.executable, "-m", "pytest", "-x", "-q", "--continue-on-collection-errors"]
-    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True)
-    return proc.returncode == 0
+    runs = [[*command, *first], [*command, *(f"--ignore={f}" for f in first)]] if first else [command]
+    return all(subprocess.run(run, cwd=checkout, env=env, capture_output=True).returncode == 0 for run in runs)
+
+
+def own_tests(checkout: Path, name: str) -> tuple[str, ...]:
+    """The test files of the module src/knotcert/<name>: tests/test_<stem>*.py."""
+    tests = sorted((checkout / "tests").glob(f"test_{Path(name).stem}*.py"))
+    return tuple(str(path.relative_to(checkout)) for path in tests)
 
 
 def main(argv=None) -> int:
@@ -117,7 +128,7 @@ def main(argv=None) -> int:
             path.write_bytes(mutant(original, node))
             t0 = time.monotonic()
             try:
-                caught = not tier1_passes(checkout)
+                caught = not tier1_passes(checkout, own_tests(checkout, name))
             finally:
                 path.write_bytes(original)
             if not caught:

@@ -12,7 +12,6 @@ SU(2) representations limiting to the corresponding abelian one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
@@ -32,6 +31,7 @@ from .laurent import (
     to_z_poly,
     unproved_claim,
 )
+from .record import Record
 from .seifert import KnotMetadata, SeifertMatrix, validate
 
 CERTIFIED = "CERTIFIED"
@@ -39,8 +39,7 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 INVALID_INPUT = "INVALID_INPUT"
 
 
-@dataclass(frozen=True)
-class ConsistencyChecks:
+class ConsistencyChecks(Record):
     """Cross-checks that must all hold before a certificate is emitted."""
 
     det_sign_crosscheck: bool
@@ -51,8 +50,7 @@ class ConsistencyChecks:
         return self.det_sign_crosscheck and self.first_plateau_zero and self.parity
 
 
-@dataclass(frozen=True, kw_only=True)
-class Certificate:
+class Certificate(Record, kw_only=True, uncompared=("profile",)):
     """Verdict plus the witnesses that justify it.
 
     The field order is the certificate JSON's key order: the JSON carries
@@ -71,7 +69,7 @@ class Certificate:
     conclusion_text: str
     consistency_checks: ConsistencyChecks | None
     error: str | None = None
-    profile: SignatureProfile | None = field(default=None, compare=False)
+    profile: SignatureProfile | None = None
 
     @property
     def unit_root_count(self) -> int:

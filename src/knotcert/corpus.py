@@ -24,13 +24,13 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
 from .laurent import SymmetricLaurentPoly, alexander_poly
+from .record import Record, replace
 from .seifert import KnotMetadata, SeifertMatrix, validate
 
 if TYPE_CHECKING:
@@ -39,15 +39,14 @@ if TYPE_CHECKING:
     from .inertia import SignatureProfile
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record, uncompared=("row",)):
     """One named Seifert matrix, validated at parse time, with its user assertions."""
 
     name: str
     seifert: SeifertMatrix
     assume_irreducible: bool = True
     assume_m0_prime: bool = False
-    row: int | None = field(default=None, compare=False)  # position in the corpus file
+    row: int | None = None  # position in the corpus file
 
     def metadata(self) -> KnotMetadata:
         return KnotMetadata(
@@ -56,8 +55,7 @@ class CorpusEntry:
         )
 
 
-@dataclass(frozen=True)
-class CorpusError:
+class CorpusError(Record):
     """A row that could not be parsed or validated, with its location.
 
     ``message`` is the bare reason; str() is the row's one wording,
@@ -277,15 +275,15 @@ def write_corpus(
 
 
 # ---------------------------------------------------------------------------
-# certificate JSON schema: the dataclass declarations are the schema
+# certificate JSON schema: the record class declarations are the schema
 
 
 def _to_obj(x):
-    """JSON-ready form of x: a dataclass becomes its compared fields in order."""
+    """JSON-ready form of x: a record becomes its compared fields in order."""
     if isinstance(x, SeifertMatrix):
         return _to_obj(x.entries)
-    if is_dataclass(x):
-        return {f.name: _to_obj(getattr(x, f.name)) for f in fields(x) if f.compare}
+    if isinstance(x, Record):
+        return {name: _to_obj(getattr(x, name)) for name in x._compared}
     if isinstance(x, tuple):
         return [_to_obj(v) for v in x]
     if isinstance(x, SymmetricLaurentPoly):
@@ -302,31 +300,36 @@ _field_types = functools.cache(get_type_hints)
 def _from_obj(tp, obj):
     """Inverse of _to_obj for a value declared with type tp.
 
-    A missing dataclass key takes the field's default.
+    A missing record key takes the field's default.  An Alexander exponent
+    must be written as str(int) writes it: "+1" or a non-ASCII digit raises
+    ValueError.
     """
     if obj is None:
         return None
     if type(None) in get_args(tp):  # an Optional holding a value
         (tp,) = [a for a in get_args(tp) if a is not type(None)]
-    if is_dataclass(tp):
-        hints = _field_types(tp)
-        return tp(
-            **{
-                f.name: _from_obj(hints[f.name], obj[f.name])
-                for f in fields(tp)
-                if f.compare and f.name in obj
-            }
-        )
+    # before the class test: on Python 3.10, isinstance(tuple[int, ...], type) holds
     if get_origin(tp) is tuple:
         args = get_args(tp)
         if args[-1] is Ellipsis:
             return tuple(_from_obj(args[0], v) for v in obj)
         return tuple(_from_obj(a, v) for a, v in zip(args, obj))
+    if isinstance(tp, type) and issubclass(tp, Record):
+        hints = _field_types(tp)
+        return tp(**{name: _from_obj(hints[name], obj[name]) for name in tp._compared if name in obj})
     if tp is SymmetricLaurentPoly:
-        return SymmetricLaurentPoly({int(k): v for k, v in obj.items()})
+        return SymmetricLaurentPoly({_exponent(k): v for k, v in obj.items()})
     if tp is Fraction:
         return Fraction(obj)
     return obj
+
+
+def _exponent(key: str) -> int:
+    """The int written as key, which must be _to_obj's own form of it."""
+    exponent = int(key)
+    if str(exponent) != key:
+        raise ValueError(f"Alexander exponent {key!r} is not written as an integer")
+    return exponent
 
 
 def certificates_to_json(certs: Sequence[Certificate]) -> str:

@@ -40,17 +40,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalInconsistencyError
 from .laurent import UnitRootWitness, ZPoly, arc_z_ranges, isolate_unit_roots
+from .record import Record, replace
 from .seifert import SeifertMatrix
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """Exact complex number with rational real and imaginary parts."""
 
     re: Fraction
@@ -62,8 +61,7 @@ Pairs = list[list[tuple[Fraction, Fraction]]]  # (re, im) entries, int or Fracti
 Sparse = list[list[tuple[int, Fraction, Fraction]]]  # each row's nonzero (j, re, im)
 
 
-@dataclass(frozen=True)
-class UnitCirclePoint:
+class UnitCirclePoint(Record):
     """A Gaussian-rational point w = e^(i phi) on the open upper unit semicircle.
 
     ``u`` is the tan-half-angle parameter u = tan(phi/2) > 0, so phi lies in
@@ -86,8 +84,7 @@ class UnitCirclePoint:
         return 2.0 * math.atan(_float(self.u))
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(Record):
     """One-sided signature limits across a single unit root."""
 
     root: UnitRootWitness
@@ -98,8 +95,7 @@ class JumpReport:
     transversal_simple: bool
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
+class SignatureProfile(Record):
     """The signature step function phi -> Sign B(e^(i phi)) on (0, pi].
 
     ``jump_angles`` holds the root witnesses ordered by increasing angle
@@ -419,8 +415,7 @@ def det_sign_crosscheck(p_z: ZPoly, profile: SignatureProfile) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SlopeDiagnostic:
+class SlopeDiagnostic(Record):
     """Display-only finite-difference data for one root crossing."""
 
     left_angle: float

@@ -38,7 +38,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -51,6 +50,7 @@ from .errors import (
     RootAtPlusMinusOneError,
     ZeroPolynomialError,
 )
+from .record import Record
 from .seifert import SeifertMatrix, _exact_ints, det_int
 
 IntPoly = list[int]
@@ -284,8 +284,7 @@ class ZPoly:
         return f"ZPoly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class UnitRootWitness:
+class UnitRootWitness(Record):
     """Exact isolating data for one unit-circle root pair e^(+-i phi).
 
     ``interval`` is a half-open dyadic-rational interval (lo, hi] in

@@ -11,16 +11,15 @@ built, so later stages take det(V - V^T) = 1 as known.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError, NonSquareError, NonSymplecticError, OddSizeError
+from .record import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record, uncompared=("name",)):
     """An immutable 2g x 2g integer linking matrix with det(V - V^T) = 1.
 
     It checks itself when built: entries must be exact integers (else
@@ -30,7 +29,7 @@ class SeifertMatrix:
     """
 
     entries: Matrix
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
 
     def __post_init__(self):
         m = tuple(_exact_ints(row, "matrix entries") for row in self.entries)
@@ -57,8 +56,7 @@ class SeifertMatrix:
         return len(self.entries) // 2
 
 
-@dataclass(frozen=True)
-class KnotMetadata:
+class KnotMetadata(Record):
     """User assertions about the knot exterior that no matrix can decide.
 
     assume_m0_prime additionally asserts that the 0-surgery is prime, which

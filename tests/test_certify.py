@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import itertools
 import json
@@ -38,6 +37,7 @@ from knotcert.fixtures import (
     torus_knot,
 )
 from knotcert.laurent import MAX_REFINE_BITS, alexander_poly, isolate_unit_roots, to_z_poly
+from knotcert.record import replace
 from knotcert.seifert import KnotMetadata, block_sum, mirror
 
 from conftest import seifert_matrices
@@ -252,7 +252,7 @@ def test_certify_raises_when_isolation_misstates_a_multiplicity(v, monkeypatch):
             if w.multiplicity + shift < 1:
                 continue
             wrong = list(witnesses)
-            wrong[i] = dataclasses.replace(w, multiplicity=w.multiplicity + shift)
+            wrong[i] = replace(w, multiplicity=w.multiplicity + shift)
             monkeypatch.setattr(
                 certify_module, "isolate_unit_roots", lambda p_z, refine_bits=32, wrong=wrong: wrong
             )

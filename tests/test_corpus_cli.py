@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import importlib
 import json
 import math
@@ -40,6 +39,7 @@ from knotcert.errors import (
 from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, granny_knot, random_corpus
 from knotcert.inertia import signature_profile
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
+from knotcert.record import replace
 from knotcert.seifert import validate
 
 TREFOIL_OBJ = {"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}
@@ -297,13 +297,25 @@ def test_certificate_json_missing_defaulted_keys_read_back_as_defaults():
     for key in defaulted:
         del obj[key]
     (parsed,) = certificates_from_json(json.dumps([obj]))
-    assert parsed == dataclasses.replace(cert, **dict.fromkeys(defaulted))
+    assert parsed == replace(cert, **dict.fromkeys(defaulted))
 
 
 def test_certificate_json_rejects_a_non_integer_alexander_coefficient():
     obj = json.loads(certificates_to_json([certify(TREFOIL, name="trefoil")]))[0]
     obj["alexander"]["0"] = -1.9
     with pytest.raises(TypeError):
+        certificates_from_json(json.dumps([obj]))
+
+
+# int() reads each of these keys, but certificates_to_json writes none of them
+@pytest.mark.parametrize("key, written", [("+1", "1"), ("\u0660", "0"), (" 1", "1"), ("01", "1")])
+def test_certificate_json_rejects_a_non_canonical_alexander_exponent(key, written):
+    cert = certify(TREFOIL, name="trefoil")
+    text = certificates_to_json([cert])
+    assert certificates_from_json(text) == [cert]
+    obj = json.loads(text)[0]
+    obj["alexander"][key] = obj["alexander"].pop(written)
+    with pytest.raises(ValueError, match="Alexander exponent"):
         certificates_from_json(json.dumps([obj]))
 
 

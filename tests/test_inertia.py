@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import math
 import os
@@ -50,6 +49,7 @@ from knotcert.inertia import (
     transversality_diagnostic,
 )
 from knotcert.laurent import alexander_poly, arc_z_ranges, isolate_unit_roots, to_z_poly
+from knotcert.record import replace
 from knotcert.seifert import SeifertMatrix, det_int, mirror
 
 from conftest import seifert_matrices
@@ -399,7 +399,7 @@ def test_jump_reports_granny_and_square():
 def test_jump_reports_fail_closed_on_a_broken_jump_law(plateaus, message):
     # the trefoil's one simple root, with plateaus that break one law each
     profile, _ = profile_of(TREFOIL)
-    broken = dataclasses.replace(profile, plateau_values=plateaus)
+    broken = replace(profile, plateau_values=plateaus)
     with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
         jump_reports(broken)
 
@@ -434,13 +434,11 @@ def test_det_sign_crosscheck_empty_matrix_vacuous():
 @pytest.mark.parametrize(
     "broken",
     [
-        lambda pr: dataclasses.replace(pr, arc_dets=(-pr.arc_dets[0], *pr.arc_dets[1:])),
-        lambda pr: dataclasses.replace(pr, arc_dets=(2 * pr.arc_dets[0], *pr.arc_dets[1:])),
-        lambda pr: dataclasses.replace(pr, plateau_values=(0, pr.plateau_values[1] + 2)),
-        lambda pr: dataclasses.replace(pr, det_at_minus_one=pr.det_at_minus_one + 1),
-        lambda pr: dataclasses.replace(
-            pr, jump_angles=(dataclasses.replace(pr.jump_angles[0], multiplicity=2),)
-        ),
+        lambda pr: replace(pr, arc_dets=(-pr.arc_dets[0], *pr.arc_dets[1:])),
+        lambda pr: replace(pr, arc_dets=(2 * pr.arc_dets[0], *pr.arc_dets[1:])),
+        lambda pr: replace(pr, plateau_values=(0, pr.plateau_values[1] + 2)),
+        lambda pr: replace(pr, det_at_minus_one=pr.det_at_minus_one + 1),
+        lambda pr: replace(pr, jump_angles=(replace(pr.jump_angles[0], multiplicity=2),)),
     ],
     ids=["sample-identity", "sample-factorization", "sign-law", "minus-one-identity", "flip-parity"],
 )

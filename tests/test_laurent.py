@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -59,6 +58,7 @@ from knotcert.laurent import (
     to_z_poly,
     unproved_claim,
 )
+from knotcert.record import replace
 from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
 
 from conftest import seifert_matrices
@@ -568,7 +568,7 @@ def test_unproved_claim_returns_the_first_claim_it_cannot_prove():
     lo, hi = w.interval
     assert unproved_claim(p, [w]) is None
     assert unproved_claim(p, []) == "no proof that P has no root in the plateau arc z in (-2, 2)"
-    assert unproved_claim(p, [dataclasses.replace(w, multiplicity=2)]) == (
+    assert unproved_claim(p, [replace(w, multiplicity=2)]) == (
         f"no proof that P has one root of multiplicity 2 in z in ({lo}, {hi}]"
     )
 

@@ -118,6 +118,8 @@ def test_commands_load_only_the_layers_they_run(command, loads_certify, tmp_path
     assert ("knotcert.inertia" in loaded) is loads_certify
     # the plateaus of every matrix are evaluated in this process
     assert not {"multiprocessing", "concurrent.futures"} & loaded
+    # records are knotcert.record classes; importing dataclasses costs milliseconds
+    assert "dataclasses" not in loaded
 
 
 def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
@@ -133,6 +135,19 @@ def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
     )
     proc = _python("-c", code, str(corpus))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_parse_load_neither_dataclasses_nor_inspect():
+    # the start-up of every command: dataclasses would load inspect, dis,
+    # tokenize and ast; the interpreter's own start-up may load inspect
+    code = "import knotcert\nfrom knotcert.corpus import parse_corpus\n"
+    proc = _python("-X", "importtime", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = _imported_modules(proc.stderr)
+    assert "knotcert.corpus" in loaded
+    assert "dataclasses" not in loaded
+    if "inspect" not in _imported_modules(_python("-X", "importtime", "-c", "pass").stderr):
+        assert "inspect" not in loaded
 
 
 def test_package_source_has_no_assert_statement():

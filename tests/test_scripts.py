@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -86,3 +87,13 @@ def test_mutation_gate_lists_its_sites_and_runs_nothing():
         assert (SCRIPTS.parent / "src" / "knotcert" / name).is_file() and int(lineno) > 0
         assert kind in ("raise", "return False")
     assert any(line.endswith(" _multiplicity_proved return False") for line in lines)
+
+
+def test_mutation_gate_runs_a_module_s_own_tests_first():
+    spec = importlib.util.spec_from_file_location("mutation_gate", SCRIPTS / "mutation_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    root = SCRIPTS.parent
+    assert gate.own_tests(root, "inertia.py") == ("tests/test_inertia.py",)
+    assert gate.own_tests(root, "corpus.py") == ("tests/test_corpus_cli.py",)
+    assert gate.own_tests(root, "errors.py") == ()
