@@ -282,12 +282,12 @@ def _to_obj(x):
     """JSON-ready form of x: a record becomes its compared fields in order."""
     if isinstance(x, SeifertMatrix):
         return _to_obj(x.entries)
+    if isinstance(x, SymmetricLaurentPoly):
+        return {str(k): x.coeffs[k] for k in sorted(x.coeffs)}
     if isinstance(x, Record):
         return {name: _to_obj(getattr(x, name)) for name in x._compared}
     if isinstance(x, tuple):
         return [_to_obj(v) for v in x]
-    if isinstance(x, SymmetricLaurentPoly):
-        return {str(k): x.coeffs[k] for k in sorted(x.coeffs)}
     if isinstance(x, Fraction):
         return str(x)
     return x
@@ -300,28 +300,33 @@ _field_types = functools.cache(get_type_hints)
 def _from_obj(tp, obj):
     """Inverse of _to_obj for a value declared with type tp.
 
-    A missing record key takes the field's default.  An Alexander exponent
-    must be written as str(int) writes it: "+1" or a non-ASCII digit raises
-    ValueError.
+    obj must have the JSON type that _to_obj writes for tp (a bool is not an
+    int, a rational is a string, null stands only for an Optional), else
+    TypeError.  A fixed-length tuple of another length raises ValueError, and
+    so does an Alexander exponent not written as str(int) writes it ("+1", a
+    non-ASCII digit).  A missing record key takes the field's default.
     """
-    if obj is None:
-        return None
-    if type(None) in get_args(tp):  # an Optional holding a value
+    if type(None) in get_args(tp):  # an Optional
+        if obj is None:
+            return None
         (tp,) = [a for a in get_args(tp) if a is not type(None)]
     # before the class test: on Python 3.10, isinstance(tuple[int, ...], type) holds
-    if get_origin(tp) is tuple:
-        args = get_args(tp)
+    args = get_args(tp) if get_origin(tp) is tuple else ()
+    json_type = list if args else dict if issubclass(tp, Record) else str if tp is Fraction else tp
+    if type(obj) is not json_type:
+        raise TypeError(f"expected {json_type.__name__}, not {type(obj).__name__}")
+    if args:
         if args[-1] is Ellipsis:
             return tuple(_from_obj(args[0], v) for v in obj)
+        if len(obj) != len(args):
+            raise ValueError(f"expected {len(args)} values, not {len(obj)}")
         return tuple(_from_obj(a, v) for a, v in zip(args, obj))
-    if isinstance(tp, type) and issubclass(tp, Record):
-        hints = _field_types(tp)
-        return tp(**{name: _from_obj(hints[name], obj[name]) for name in tp._compared if name in obj})
     if tp is SymmetricLaurentPoly:
         return SymmetricLaurentPoly({_exponent(k): v for k, v in obj.items()})
-    if tp is Fraction:
-        return Fraction(obj)
-    return obj
+    if issubclass(tp, Record):
+        hints = _field_types(tp)
+        return tp(**{name: _from_obj(hints[name], obj[name]) for name in tp._compared if name in obj})
+    return Fraction(obj) if tp is Fraction else obj
 
 
 def _exponent(key: str) -> int:

@@ -61,18 +61,27 @@ Pairs = list[list[tuple[Fraction, Fraction]]]  # (re, im) entries, int or Fracti
 Sparse = list[list[tuple[int, Fraction, Fraction]]]  # each row's nonzero (j, re, im)
 
 
+def _is_exact(x) -> bool:
+    """The rule for an exact rational: an int or a Fraction, and not a bool."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 class UnitCirclePoint(Record):
     """A Gaussian-rational point w = e^(i phi) on the open upper unit semicircle.
 
     ``u`` is the tan-half-angle parameter u = tan(phi/2) > 0, so phi lies in
-    (0, pi); the endpoint w = -1 is not a point of this type.
+    (0, pi); the endpoint w = -1 is not a point of this type.  u must be an
+    int or a Fraction (TypeError), kept as a Fraction so that ``z`` is exact.
     """
 
     u: Fraction
 
     def __post_init__(self):
+        if not _is_exact(self.u):
+            raise TypeError(f"tan-half-angle parameter must be an int or Fraction, not {self.u!r}")
         if self.u <= 0:
             raise ValueError("tan-half-angle parameter must be positive")
+        object.__setattr__(self, "u", Fraction(self.u))
 
     @property
     def z(self) -> Fraction:
@@ -199,7 +208,7 @@ def _inertia_from_char_poly(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
 def _exact_pair(x) -> tuple[int | Fraction, int | Fraction]:
     """(re, im) of an ``inertia`` entry: an int, a Fraction, or a GaussianRational of them."""
     pair = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
-    if any(isinstance(y, bool) or not isinstance(y, (int, Fraction)) for y in pair):
+    if not all(map(_is_exact, pair)):
         raise TypeError(f"inertia needs int or Fraction entries, not {x!r}")
     return pair
 

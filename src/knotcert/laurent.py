@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     InternalInconsistencyError,
@@ -177,18 +177,22 @@ def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
 # public polynomial types
 
 
-class SymmetricLaurentPoly:
+class SymmetricLaurentPoly(Record):
     """Integer Laurent polynomial with p(t) = p(1/t) and p(1) = 1.
 
     This is the normalized home of the Alexander polynomial: fixing the
     symmetric representative with value 1 at t = 1 makes equality testable.
+    ``coeffs`` maps each exponent to its nonzero coefficient, read-only.  The
+    constructor reads exponents and coefficients by the exact-integer rule
+    (TypeError), drops zero terms, and raises NotReciprocalError or
+    NormalizationError unless p(t) = p(1/t) and p(1) = 1.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: Mapping[int, int]
 
-    def __init__(self, coeffs: dict[int, int]):
-        exponents = _exact_ints(coeffs, "Laurent exponents")
-        values = _exact_ints(coeffs.values(), "polynomial coefficients")
+    def __post_init__(self):
+        exponents = _exact_ints(self.coeffs, "Laurent exponents")
+        values = _exact_ints(self.coeffs.values(), "polynomial coefficients")
         cleaned = {k: v for k, v in zip(exponents, values) if v != 0}
         for k, v in cleaned.items():
             if cleaned.get(-k, 0) != v:
@@ -198,7 +202,7 @@ class SymmetricLaurentPoly:
         value_at_one = sum(cleaned.values())
         if value_at_one != 1:
             raise NormalizationError(f"p(1) = {value_at_one}, expected 1")
-        self.coeffs = MappingProxyType(cleaned)
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     def coefficient(self, k: int) -> int:
         return self.coeffs.get(k, 0)
@@ -216,23 +220,8 @@ class SymmetricLaurentPoly:
             total += c * t**k
         return total
 
-    def __mul__(self, other: "SymmetricLaurentPoly") -> "SymmetricLaurentPoly":
-        out: dict[int, int] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-        return SymmetricLaurentPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymmetricLaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # a mappingproxy has no hash
         return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        return f"SymmetricLaurentPoly({dict(self.coeffs)!r})"
 
     def __str__(self) -> str:
         parts = []
@@ -251,13 +240,18 @@ class SymmetricLaurentPoly:
         return " ".join(parts)
 
 
-class ZPoly:
-    """Integer polynomial in the variable z = t + 1/t."""
+class ZPoly(Record):
+    """Integer polynomial in the variable z = t + 1/t.
 
-    __slots__ = ("coeffs",)
+    ``coeffs`` are ascending, with no trailing zeros; the constructor takes
+    any iterable of exact integers (TypeError otherwise) and trims it.
+    """
 
-    def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(_trim(list(_exact_ints(coeffs, "polynomial coefficients"))))
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        coeffs = _trim(list(_exact_ints(self.coeffs, "polynomial coefficients")))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -271,17 +265,6 @@ class ZPoly:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"ZPoly({list(self.coeffs)!r})"
 
 
 class UnitRootWitness(Record):

@@ -2,8 +2,9 @@
 
 The floating-point ones go through numpy's eigensolvers and companion-matrix
 root finding; ``inertia_exact`` goes through symmetric elimination over
-``Fraction`` and ``sturm_count`` through a Sturm remainder sequence over
-``Fraction``.  None of them goes through the package's exact code paths.
+``Fraction``, ``sturm_count`` through a Sturm remainder sequence over
+``Fraction`` and ``laurent_product`` through the convolution of exponent
+dicts.  None of them goes through the package's exact code paths.
 """
 
 from __future__ import annotations
@@ -97,6 +98,21 @@ def inertia_exact(rows) -> tuple[int, int, int, Fraction]:
         row = [(-x / d, -y / d) for x, y in a[p]]  # a - a_.p a_p. / d
         a = [[add(a[r][s], mul(a[r][p], row[s])) for s in rest] for r in rest]
     return pos, neg, 0, det
+
+
+def laurent_product(*factors) -> dict[int, int]:
+    """Product of Laurent polynomials given as {exponent: coefficient} mappings.
+
+    The result has no zero coefficients; the empty product is {0: 1}.
+    """
+    product = {0: 1}
+    for factor in factors:
+        terms: dict[int, int] = {}
+        for k1, c1 in product.items():
+            for k2, c2 in factor.items():
+                terms[k1 + k2] = terms.get(k1 + k2, 0) + c1 * c2
+        product = {k: c for k, c in terms.items() if c}
+    return product
 
 
 def _horner_sign(f, x: Fraction) -> int:

@@ -307,6 +307,40 @@ def test_certificate_json_rejects_a_non_integer_alexander_coefficient():
         certificates_from_json(json.dumps([obj]))
 
 
+@pytest.mark.parametrize(
+    "path, value, error",
+    [
+        (("genus",), "abc", TypeError),
+        (("genus",), True, TypeError),  # an int field takes no bool
+        (("genus",), 1.0, TypeError),
+        (("verdict",), 42, TypeError),
+        (("verdict",), None, TypeError),  # null only for an Optional field
+        (("name",), 7, TypeError),
+        (("consistency_checks", "parity"), "no", TypeError),
+        (("consistency_checks", "parity"), 1, TypeError),  # a bool field takes no int
+        (("assumptions_echoed",), None, TypeError),
+        (("assumptions_echoed",), [True, True, False], TypeError),
+        (("simple_root_witnesses", 0, "multiplicity"), True, TypeError),
+        (("simple_root_witnesses", 0, "interval"), [1, 2], TypeError),  # rationals are strings
+        (("simple_root_witnesses", 0, "interval"), "1", TypeError),
+        (("simple_root_witnesses", 0, "interval"), ["1"], ValueError),
+        (("simple_root_witnesses", 0, "interval"), ["0", "1", "2"], ValueError),
+        (("simple_root_witnesses",), {}, TypeError),
+        (("jump_witnesses",), None, TypeError),
+        (("alexander",), [[0, 1]], TypeError),
+    ],
+)
+def test_certificate_json_rejects_an_ill_typed_value(path, value, error):
+    obj = json.loads(certificates_to_json([certify(TREFOIL, name="trefoil")]))[0]
+    *keys, last = path
+    target = obj
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(error):
+        certificates_from_json(json.dumps([obj]))
+
+
 # int() reads each of these keys, but certificates_to_json writes none of them
 @pytest.mark.parametrize("key, written", [("+1", "1"), ("\u0660", "0"), (" 1", "1"), ("01", "1")])
 def test_certificate_json_rejects_a_non_canonical_alexander_exponent(key, written):

@@ -136,6 +136,19 @@ def test_unit_circle_point_geometry():
         UnitCirclePoint(Fraction(0))
 
 
+@pytest.mark.parametrize("u", [0.5, True, "1", None, complex(1)])
+def test_unit_circle_point_takes_only_an_exact_u(u):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        UnitCirclePoint(u)
+
+
+def test_unit_circle_point_keeps_an_int_u_as_a_fraction():
+    point = UnitCirclePoint(1)
+    assert point == UnitCirclePoint(Fraction(1)) and type(point.u) is Fraction
+    assert point.z == 0 and type(point.z) is Fraction
+    assert UnitCirclePoint(3).z == Fraction(-8, 5)
+
+
 def test_unit_circle_point_angle_past_the_float_range():
     assert UnitCirclePoint(Fraction(10**400)).angle == math.pi
 

@@ -161,3 +161,18 @@ def test_package_source_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_record_defines_eq():
+    # a value type derives from knotcert.record.Record, which defines == and hash
+    files = sorted(Path(knotcert.__file__).parent.glob("*.py"))
+    assert any(path.name == "record.py" for path in files)
+    found = [
+        f"{path.name}:{node.name}"
+        for path in files
+        if path.name != "record.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body)
+    ]
+    assert found == []

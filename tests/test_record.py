@@ -6,9 +6,10 @@ import pytest
 
 from knotcert.certify import Certificate, certify
 from knotcert.corpus import CorpusEntry, CorpusError
-from knotcert.errors import NonSymplecticError
+from knotcert.errors import NonSymplecticError, NotReciprocalError
 from knotcert.fixtures import FIGURE_EIGHT, TREFOIL
 from knotcert.inertia import GaussianRational, UnitCirclePoint
+from knotcert.laurent import SymmetricLaurentPoly, ZPoly, alexander_poly
 from knotcert.record import FrozenRecordError, Record, replace
 from knotcert.seifert import KnotMetadata, SeifertMatrix
 
@@ -114,3 +115,40 @@ def test_a_class_declares_its_fields_and_compared_fields():
 
         class Wrong(Record, uncompared=("z",)):
             x: int
+
+
+@pytest.mark.parametrize("poly", [ZPoly([-1, 1]), alexander_poly(TREFOIL)])
+def test_the_polynomial_types_are_frozen(poly):
+    coeffs = poly.coeffs
+    with pytest.raises(FrozenRecordError, match="cannot assign to field 'coeffs'"):
+        poly.coeffs = {5: 1}
+    with pytest.raises(FrozenRecordError, match="cannot delete field 'coeffs'"):
+        del poly.coeffs
+    assert poly.coeffs is coeffs
+    with pytest.raises(TypeError):
+        poly.coeffs[5] = 1  # a ZPoly holds a tuple, a SymmetricLaurentPoly a mappingproxy
+    assert isinstance(poly, Record)
+
+
+def test_replace_checks_a_polynomial_again():
+    delta = alexander_poly(TREFOIL)
+    with pytest.raises(NotReciprocalError, match=r"coefficient at t\^5 is 1 but at t\^-5 is 0"):
+        replace(delta, coeffs={5: 1})
+    assert replace(delta, coeffs={0: 1, 2: 0}) == SymmetricLaurentPoly({0: 1})
+    trimmed = replace(ZPoly([1, 2]), coeffs=(1, 0))
+    assert trimmed == ZPoly([1]) and trimmed.coeffs == (1,)
+
+
+def test_equal_polynomials_hash_equal():
+    a, b = SymmetricLaurentPoly({1: -1, 0: 3, -1: -1}), SymmetricLaurentPoly({-1: -1, 2: 0, 0: 3, 1: -1})
+    assert a == b and hash(a) == hash(b) and {a, b} == {a}
+    assert a != SymmetricLaurentPoly({0: 1}) and a != ZPoly([3])
+    z = ZPoly([1, 2, 0, 0])
+    assert z == ZPoly((1, 2)) and hash(z) == hash(ZPoly(iter([1, 2]))) and z in {ZPoly([1, 2])}
+    assert ZPoly([]) == ZPoly([0]) and ZPoly([]).degree == -1
+
+
+def test_polynomial_repr_is_the_record_form():
+    assert repr(ZPoly([0, 1, 0])) == "ZPoly(coeffs=(0, 1))"
+    assert repr(SymmetricLaurentPoly({0: 1})) == "SymmetricLaurentPoly(coeffs=mappingproxy({0: 1}))"
+    assert str(alexander_poly(TREFOIL)) == "t - 1 + t^-1"
