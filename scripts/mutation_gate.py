@@ -1,13 +1,17 @@
 """Mutation gate: every fail-closed check in src/knotcert is caught by a tier-1 test.
 
-A site is a ``raise InternalInconsistencyError(...)`` statement or a check's
-``return False``, found with ``ast``.  Each site in turn is replaced by
-``pass`` in a temporary copy of the checkout, and the tier-1 suite runs
-there with ``-x -q``: first the mutated module's own tests
-(``tests/test_<module>*.py``), then, if those pass, the rest.  A mutant that
-passes the suite survives.  The gate exits 1 if the unmutated copy fails the
-suite, if a survivor is missing from REVIEWED_SURVIVORS, or if an entry there
-no longer survives.
+A site is a ``raise InternalInconsistencyError(...)`` statement, a check's
+``return False``, any ``raise`` in a record's ``__post_init__`` (the checks
+that keep invalid instances from existing) and any ``raise`` in a function
+of GUARDS, found with ``ast``.  Each site in turn is replaced by ``pass`` in
+a temporary copy of the checkout, and the tier-1 suite runs there with
+``-x -q``: first the mutated module's own tests (``tests/test_<module>*.py``),
+then, if those pass, the rest.  A mutant that passes the suite survives.  A
+tier-1 run that takes longer than TIMEOUT_S is stopped, with every process
+it started, and its mutant gets the verdict TIMEOUT: a test that hangs
+catches nothing.  The gate exits 1 if the unmutated copy does not pass the
+suite in time, if a mutant times out, if a survivor is missing from
+REVIEWED_SURVIVORS, or if an entry there no longer survives.
 
     python scripts/mutation_gate.py          # every mutant in turn, serially
     python scripts/mutation_gate.py --list   # print the sites and run nothing
@@ -22,6 +26,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -34,11 +39,20 @@ PACKAGE = Path("src") / "knotcert"
 # (file under src/knotcert, function) -> why no test can catch its sites
 REVIEWED_SURVIVORS: dict[tuple[str, str], str] = {}
 
+# (file under src/knotcert, function) -> why its raise statements are sites
+GUARDS: dict[tuple[str, str], str] = {
+    ("inertia.py", "_rational_sqrt_between"): "past its range the doubling loop never ends",
+}
+
+# seconds one tier-1 run may take; the whole suite takes well under a minute
+TIMEOUT_S = 300
+
 
 class _Sites(ast.NodeVisitor):
     """Collects (qualified function name, statement) for every site of one module."""
 
-    def __init__(self):
+    def __init__(self, name: str):
+        self.name = name
         self.scope: list[str] = []
         self.found: list[tuple[str, ast.stmt]] = []
 
@@ -51,8 +65,13 @@ class _Sites(ast.NodeVisitor):
 
     def visit_Raise(self, node: ast.Raise):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        if isinstance(exc, ast.Name) and exc.id == "InternalInconsistencyError":
-            self.found.append((".".join(self.scope), node))
+        func = ".".join(self.scope)
+        if (
+            isinstance(exc, ast.Name) and exc.id == "InternalInconsistencyError"
+            or self.scope[-1:] == ["__post_init__"]
+            or (self.name, func) in GUARDS
+        ):
+            self.found.append((func, node))
 
     def visit_Return(self, node: ast.Return):
         if isinstance(node.value, ast.Constant) and node.value.value is False:
@@ -63,7 +82,7 @@ def sites(root: Path) -> list[tuple[str, str, ast.stmt]]:
     """(file, function, statement) of every site under root's package, in file order."""
     out = []
     for path in sorted((root / PACKAGE).glob("*.py")):
-        visitor = _Sites()
+        visitor = _Sites(path.name)
         visitor.visit(ast.parse(path.read_bytes(), filename=str(path)))
         out += [(path.name, func, node) for func, node in visitor.found]
     return out
@@ -79,10 +98,24 @@ def mutant(source: bytes, node: ast.stmt) -> bytes:
     return out
 
 
-def tier1_passes(checkout: Path, first: tuple[str, ...] = ()) -> bool:
-    """Whether the tier-1 suite passes in checkout, stopping at the first failure.
+def _run(command: list[str], cwd: Path, env: dict) -> int | None:
+    """command's exit status, or None if it ran past TIMEOUT_S and was killed with its children."""
+    # its own session, so that killing the group also ends the processes tests start
+    quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
+    with subprocess.Popen(command, cwd=cwd, env=env, start_new_session=True, **quiet) as proc:
+        try:
+            return proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return None
 
-    The test files ``first``, paths relative to checkout, run before the rest.
+
+def tier1(checkout: Path, first: tuple[str, ...] = ()) -> str:
+    """How the tier-1 suite ends in checkout: "passed", "failed" or "timeout".
+
+    It stops at the first failure.  The test files ``first``, paths relative
+    to checkout, run before the rest.
     """
     src = str(checkout / "src")
     env = {
@@ -93,7 +126,11 @@ def tier1_passes(checkout: Path, first: tuple[str, ...] = ()) -> bool:
     }
     command = [sys.executable, "-m", "pytest", "-x", "-q", "--continue-on-collection-errors"]
     runs = [[*command, *first], [*command, *(f"--ignore={f}" for f in first)]] if first else [command]
-    return all(subprocess.run(run, cwd=checkout, env=env, capture_output=True).returncode == 0 for run in runs)
+    for run in runs:
+        status = _run(run, checkout, env)
+        if status != 0:
+            return "timeout" if status is None else "failed"
+    return "passed"
 
 
 def own_tests(checkout: Path, name: str) -> tuple[str, ...]:
@@ -118,36 +155,42 @@ def main(argv=None) -> int:
         checkout = Path(tmp) / "checkout"
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
         shutil.copytree(ROOT, checkout, ignore=ignore)
-        if not tier1_passes(checkout):
-            print("tier-1 fails on the unmutated copy; no mutant can be judged")
+        unmutated = tier1(checkout)
+        if unmutated != "passed":
+            print(f"tier-1 {unmutated} on the unmutated copy; no mutant can be judged")
             return 1
-        survivors = set()
+        survivors, timeouts = set(), []
         for name, func, node in found:
             path = checkout / PACKAGE / name
             original = path.read_bytes()
             path.write_bytes(mutant(original, node))
             t0 = time.monotonic()
             try:
-                caught = not tier1_passes(checkout, own_tests(checkout, name))
+                result = tier1(checkout, own_tests(checkout, name))
             finally:
                 path.write_bytes(original)
-            if not caught:
+            if result == "passed":
                 survivors.add((name, func))
-            verdict = "caught" if caught else "SURVIVED"
+            elif result == "timeout":
+                timeouts.append(f"{name}:{node.lineno} {func}")
+            verdict = {"failed": "caught", "passed": "SURVIVED", "timeout": "TIMEOUT"}[result]
             seconds = time.monotonic() - t0
             print(f"{name}:{node.lineno} {func}: {verdict} ({seconds:.0f} s)", flush=True)
 
     unreviewed = sorted(survivors - REVIEWED_SURVIVORS.keys())
     stale = sorted(REVIEWED_SURVIVORS.keys() - survivors)
+    caught = len(found) - len(survivors) - len(timeouts)
     print(
-        f"{len(found)} sites, {len(found) - len(survivors)} caught, "
-        f"{len(survivors)} survived, in {time.monotonic() - started:.0f} s"
+        f"{len(found)} sites, {caught} caught, {len(survivors)} survived, "
+        f"{len(timeouts)} timed out, in {time.monotonic() - started:.0f} s"
     )
     for name, func in unreviewed:
         print(f"unreviewed survivor: {name} {func}")
     for name, func in stale:
         print(f"reviewed survivor no longer survives: {name} {func}")
-    return 1 if unreviewed or stale else 0
+    for where in timeouts:
+        print(f"timed out after {TIMEOUT_S} s: {where}")
+    return 1 if unreviewed or stale or timeouts else 0
 
 
 if __name__ == "__main__":

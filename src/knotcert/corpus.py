@@ -18,23 +18,22 @@ are byte-deterministic for a fixed input.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
-import math
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import CorpusParseError, UnknownFormatError, ValidationError
-from .laurent import SymmetricLaurentPoly, alexander_poly
 from .record import Record, replace
 from .seifert import KnotMetadata, SeifertMatrix, validate
 
 if TYPE_CHECKING:
-    # parsing needs neither layer; the functions that do import them
+    # parsing needs none of these, and every command parses first, so the
+    # functions that do need them import them (csv, fractions and laurent too)
+    from fractions import Fraction
+
     from .certify import Certificate
     from .inertia import SignatureProfile
 
@@ -173,6 +172,8 @@ def _csv_records(text: str):
     The format has no multi-line fields, so an unbalanced quote is an error
     in its own record (strict mode) instead of swallowing the lines after it.
     """
+    import csv
+
     for line in io.StringIO(text):
         try:
             yield next(csv.reader([line], strict=True))
@@ -182,6 +183,8 @@ def _csv_records(text: str):
 
 def _parse_csv(text: str) -> list[ParsedRow]:
     # columns: name, row-major entries, trailing size column
+    import csv
+
     out: list[ParsedRow] = []
     for row, record in enumerate(_csv_records(text)):
         if isinstance(record, csv.Error):
@@ -257,6 +260,8 @@ def write_corpus(
     path = Path(path)
     format = _format(path, format)
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [e.name, *(x for row in e.seifert.entries for x in row), e.seifert.size]
@@ -280,17 +285,25 @@ def write_corpus(
 
 def _to_obj(x):
     """JSON-ready form of x: a record becomes its compared fields in order."""
-    if isinstance(x, SeifertMatrix):
-        return _to_obj(x.entries)
-    if isinstance(x, SymmetricLaurentPoly):
-        return {str(k): x.coeffs[k] for k in sorted(x.coeffs)}
-    if isinstance(x, Record):
-        return {name: _to_obj(getattr(x, name)) for name in x._compared}
-    if isinstance(x, tuple):
-        return [_to_obj(v) for v in x]
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
+    from fractions import Fraction
+
+    from .laurent import SymmetricLaurentPoly
+
+    # the recursion is local so that the imports run once per value, not per node
+    def encode(x):
+        if isinstance(x, SeifertMatrix):
+            return encode(x.entries)
+        if isinstance(x, SymmetricLaurentPoly):
+            return {str(k): x.coeffs[k] for k in sorted(x.coeffs)}
+        if isinstance(x, Record):
+            return {name: encode(getattr(x, name)) for name in x._compared}
+        if isinstance(x, tuple):
+            return [encode(v) for v in x]
+        if isinstance(x, Fraction):
+            return str(x)
+        return x
+
+    return encode(x)
 
 
 # evaluating a class's annotations costs more than decoding its fields
@@ -298,35 +311,50 @@ _field_types = functools.cache(get_type_hints)
 
 
 def _from_obj(tp, obj):
-    """Inverse of _to_obj for a value declared with type tp.
+    """Inverse of _to_obj for a value declared with type tp: obj must be what _to_obj writes.
 
-    obj must have the JSON type that _to_obj writes for tp (a bool is not an
-    int, a rational is a string, null stands only for an Optional), else
-    TypeError.  A fixed-length tuple of another length raises ValueError, and
-    so does an Alexander exponent not written as str(int) writes it ("+1", a
-    non-ASCII digit).  A missing record key takes the field's default.
+    A value of another JSON type than _to_obj writes for tp raises TypeError
+    (a bool is not an int, a rational is a string, null stands only for an
+    Optional).  These raise ValueError: a fixed-length tuple of another
+    length; a record object with a key that is not one of its compared
+    fields, or without one of them; an Alexander exponent or a rational not
+    written as str() writes it ("+1", "2/2", a space, a non-ASCII digit).
     """
-    if type(None) in get_args(tp):  # an Optional
-        if obj is None:
-            return None
-        (tp,) = [a for a in get_args(tp) if a is not type(None)]
-    # before the class test: on Python 3.10, isinstance(tuple[int, ...], type) holds
-    args = get_args(tp) if get_origin(tp) is tuple else ()
-    json_type = list if args else dict if issubclass(tp, Record) else str if tp is Fraction else tp
-    if type(obj) is not json_type:
-        raise TypeError(f"expected {json_type.__name__}, not {type(obj).__name__}")
-    if args:
-        if args[-1] is Ellipsis:
-            return tuple(_from_obj(args[0], v) for v in obj)
-        if len(obj) != len(args):
-            raise ValueError(f"expected {len(args)} values, not {len(obj)}")
-        return tuple(_from_obj(a, v) for a, v in zip(args, obj))
-    if tp is SymmetricLaurentPoly:
-        return SymmetricLaurentPoly({_exponent(k): v for k, v in obj.items()})
-    if issubclass(tp, Record):
-        hints = _field_types(tp)
-        return tp(**{name: _from_obj(hints[name], obj[name]) for name in tp._compared if name in obj})
-    return Fraction(obj) if tp is Fraction else obj
+    from fractions import Fraction
+
+    from .laurent import SymmetricLaurentPoly
+
+    # as in _to_obj, the recursion is local: the imports run once per value
+    def decode(tp, obj):
+        if type(None) in get_args(tp):  # an Optional
+            if obj is None:
+                return None
+            (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        # before the class test: on Python 3.10, isinstance(tuple[int, ...], type) holds
+        args = get_args(tp) if get_origin(tp) is tuple else ()
+        json_type = list if args else dict if issubclass(tp, Record) else str if tp is Fraction else tp
+        if type(obj) is not json_type:
+            raise TypeError(f"expected {json_type.__name__}, not {type(obj).__name__}")
+        if args:
+            if args[-1] is Ellipsis:
+                return tuple(decode(args[0], v) for v in obj)
+            if len(obj) != len(args):
+                raise ValueError(f"expected {len(args)} values, not {len(obj)}")
+            return tuple(decode(a, v) for a, v in zip(args, obj))
+        if tp is SymmetricLaurentPoly:
+            return SymmetricLaurentPoly({_exponent(k): v for k, v in obj.items()})
+        if issubclass(tp, Record):
+            for key in obj:
+                if key not in tp._compared:
+                    raise ValueError(f"unknown {tp.__name__} key {key!r}")
+            for name in tp._compared:
+                if name not in obj:
+                    raise ValueError(f"missing {tp.__name__} key {name!r}")
+            hints = _field_types(tp)
+            return tp(**{name: decode(hints[name], obj[name]) for name in tp._compared})
+        return _rational(obj) if tp is Fraction else obj
+
+    return decode(tp, obj)
 
 
 def _exponent(key: str) -> int:
@@ -335,6 +363,19 @@ def _exponent(key: str) -> int:
     if str(exponent) != key:
         raise ValueError(f"Alexander exponent {key!r} is not written as an integer")
     return exponent
+
+
+def _rational(text: str) -> Fraction:
+    """The Fraction written as text, which must be _to_obj's own form of it."""
+    from fractions import Fraction
+
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"rational {text!r} has a zero denominator") from exc
+    if str(value) != text:
+        raise ValueError(f"rational {text!r} is not written as str(Fraction) writes it")
+    return value
 
 
 def certificates_to_json(certs: Sequence[Certificate]) -> str:
@@ -363,6 +404,7 @@ def certify_rows(rows: Sequence[ParsedRow], refine_bits: int = 32) -> list[Certi
     not a property of the input.
     """
     from .certify import _invalid_certificate, certify
+    from .laurent import alexander_poly
 
     out = []
     for position, row in enumerate(rows):
@@ -473,6 +515,9 @@ def profile_steps(
     of pi (pi/2 for halved-angle profiles).  Decisions upstream are exact in
     z; these cuts are display values.
     """
+    import math
+    from fractions import Fraction
+
     end = Fraction(math.pi) / (2 if profile.paper_angles else 1)
     cuts_angle = [w.angle_mid for w in profile.jump_angles]
     cuts_z = [w.z_mid for w in profile.jump_angles]

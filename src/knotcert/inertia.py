@@ -272,8 +272,11 @@ def _rational_sqrt_between(qa: Fraction, qb: Fraction) -> Fraction:
     """The dyadic u = k/2^b with qa < u^2 < qb, for 0 <= qa < qb, of least b, then least k.
 
     The least k at b is isqrt(floor(qa 4^b)) + 1; a fit at b is one at b + 1
-    (2k/2^(b+1)), so b is found by doubling and then bisection.
+    (2k/2^(b+1)), so b is found by doubling and then bisection.  Any other
+    qa, qb raise ValueError: the doubling would never find a fit.
     """
+    if not 0 <= qa < qb:
+        raise ValueError(f"need 0 <= qa < qb, not qa = {qa}, qb = {qb}")
 
     def least_k(b: int) -> int:  # 0 where the least k at b does not fit below qb
         k = math.isqrt((qa.numerator << 2 * b) // qa.denominator) + 1

@@ -275,11 +275,24 @@ class UnitRootWitness(Record):
     ``angle_bounds`` is a rational enclosure of phi = arccos(z*/2) =
     2 atan(sqrt((2 - z*)/(2 + z*))), from float bounds nudged outward
     (``_angle_bounds``), for reporting only (decisions are made in z).
+    The constructor requires lo < hi, an int multiplicity of at least 1
+    (TypeError for a bool or a non-int) and ordered angle bounds.
     """
 
     interval: tuple[Fraction, Fraction]
     multiplicity: int
     angle_bounds: tuple[Fraction, Fraction]
+
+    def __post_init__(self):
+        lo, hi = self.interval
+        if not lo < hi:
+            raise ValueError(f"empty isolating interval ({lo}, {hi}]")
+        if not isinstance(self.multiplicity, int) or isinstance(self.multiplicity, bool):
+            raise TypeError(f"multiplicity must be an int, not {self.multiplicity!r}")
+        if self.multiplicity < 1:
+            raise ValueError(f"multiplicity {self.multiplicity} is below 1")
+        if not self.angle_bounds[0] <= self.angle_bounds[1]:
+            raise ValueError(f"angle bounds {self.angle_bounds} are not ordered")
 
     @property
     def z_mid(self) -> Fraction:

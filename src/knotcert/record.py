@@ -67,7 +67,9 @@ class Record:
             missing = [name for name in names if name not in values]
             if missing:
                 raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(missing)}")
-        for name in names:  # not through __dict__, which would cost each record a dict
+        # past the record's own __setattr__, which refuses every assignment; the
+        # values land in the instance __dict__ (records have no __slots__)
+        for name in names:
             object.__setattr__(self, name, values[name])
         if hasattr(self, "__post_init__"):
             self.__post_init__()

@@ -39,7 +39,6 @@ from knotcert.errors import (
 from knotcert.fixtures import FIGURE_EIGHT, TREFOIL, UNKNOT, granny_knot, random_corpus
 from knotcert.inertia import signature_profile
 from knotcert.laurent import alexander_poly, isolate_unit_roots, to_z_poly
-from knotcert.record import replace
 from knotcert.seifert import validate
 
 TREFOIL_OBJ = {"name": "trefoil", "seifert": [[-1, 1], [0, -1]]}
@@ -290,14 +289,49 @@ def test_certificate_json_roundtrip_is_stable(tmp_path):
         assert certificates_from_json(certificates_to_json(parsed)) == parsed
 
 
-def test_certificate_json_missing_defaulted_keys_read_back_as_defaults():
-    cert = certify(TREFOIL, name="trefoil")
-    defaulted = ("name", "genus", "alexander", "signature_at_minus_one", "error")
-    obj = json.loads(certificates_to_json([cert]))[0]
-    for key in defaulted:
-        del obj[key]
-    (parsed,) = certificates_from_json(json.dumps([obj]))
-    assert parsed == replace(cert, **dict.fromkeys(defaulted))
+def test_certificate_json_round_trips_the_determinism_corpus():
+    # the corpus of acceptance criterion 7
+    certs = certify_rows(random_corpus(50, seed=17))
+    assert certificates_from_json(certificates_to_json(certs)) == certs
+
+
+def test_certificate_json_rejects_a_missing_key():
+    # the writer writes every compared field, so a missing key is damage,
+    # even where the field has a default
+    text = certificates_to_json([certify(TREFOIL, name="trefoil")])
+    for path, record in [
+        (("name",), "Certificate"),
+        (("genus",), "Certificate"),
+        (("error",), "Certificate"),
+        (("consistency_checks", "parity"), "ConsistencyChecks"),
+        (("simple_root_witnesses", 0, "multiplicity"), "UnitRootWitness"),
+    ]:
+        obj = json.loads(text)[0]
+        *keys, last = path
+        target = obj
+        for key in keys:
+            target = target[key]
+        del target[last]
+        with pytest.raises(ValueError, match=f"missing {record} key '{last}'"):
+            certificates_from_json(json.dumps([obj]))
+
+
+@pytest.mark.parametrize(
+    "rename, extra, key",
+    [
+        ("genus", None, "genuss"),  # a misspelt key once read back as genus=None
+        (None, ("bogus", 1), "bogus"),
+        (None, ("profile", None), "profile"),  # a field, but not a written one
+    ],
+)
+def test_certificate_json_rejects_an_unknown_key(rename, extra, key):
+    obj = json.loads(certificates_to_json([certify(TREFOIL, name="trefoil")]))[0]
+    if rename:
+        obj[key] = obj.pop(rename)
+    if extra:
+        obj.update([extra])
+    with pytest.raises(ValueError, match=f"unknown Certificate key '{key}'"):
+        certificates_from_json(json.dumps([obj]))
 
 
 def test_certificate_json_rejects_a_non_integer_alexander_coefficient():
@@ -350,6 +384,29 @@ def test_certificate_json_rejects_a_non_canonical_alexander_exponent(key, writte
     obj = json.loads(text)[0]
     obj["alexander"][key] = obj["alexander"].pop(written)
     with pytest.raises(ValueError, match="Alexander exponent"):
+        certificates_from_json(json.dumps([obj]))
+
+
+# Fraction() reads each of these as 1, but certificates_to_json writes "1"; the
+# first pair also read back as the empty interval (1, 1]
+@pytest.mark.parametrize(
+    "lo, hi",
+    [("2/2", " \u0661/1 "), *((None, hi) for hi in ["2/2", "1/1", " 1", "\u0661", "1.0", "+1", "01"])],
+)
+def test_certificate_json_rejects_a_non_canonical_rational(lo, hi):
+    cert = certify(TREFOIL, name="trefoil")
+    obj = json.loads(certificates_to_json([cert]))[0]
+    interval = obj["simple_root_witnesses"][0]["interval"]
+    assert interval[1] == "1"
+    interval[:] = [lo or interval[0], hi]
+    with pytest.raises(ValueError, match="rational .* is not written as str"):
+        certificates_from_json(json.dumps([obj]))
+
+
+def test_certificate_json_rejects_a_zero_denominator():
+    obj = json.loads(certificates_to_json([certify(TREFOIL, name="trefoil")]))[0]
+    obj["simple_root_witnesses"][0]["angle_bounds"][1] = "1/0"
+    with pytest.raises(ValueError, match="zero denominator"):
         certificates_from_json(json.dumps([obj]))
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
 import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -663,6 +665,33 @@ def test_rational_sqrt_between_is_the_least_dyadic_inside(qa, width):
     # odd and k + 1 is already past qb
     if den > 1:
         assert k % 2 == 1 and Fraction(k + 1, den) ** 2 >= qb
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the block after seconds, where the platform has SIGALRM."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("qa, qb", [(1, 1), (2, 1), (0, 0), (-1, 1)])
+def test_rational_sqrt_between_rejects_a_bad_range(qa, qb):
+    # without the guard, qa >= qb doubles the bit count forever: the time
+    # limit makes that a failure rather than a hang
+    with _time_limit(5), pytest.raises(ValueError, match="need 0 <= qa < qb"):
+        _rational_sqrt_between(Fraction(qa), Fraction(qb))
 
 
 def test_certify_samples_inside_an_arc_about_1e_30_wide():

@@ -39,6 +39,7 @@ from knotcert.fixtures import (
 )
 from knotcert.laurent import (
     SymmetricLaurentPoly,
+    UnitRootWitness,
     ZPoly,
     _descartes_variations,
     _halve,
@@ -95,6 +96,27 @@ def test_symmetric_laurent_rejects_asymmetry():
 def test_symmetric_laurent_rejects_bad_normalization():
     with pytest.raises(NormalizationError):
         SymmetricLaurentPoly({1: 1, 0: 1, -1: 1})
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"interval": (Fraction(1), Fraction(1))}, ValueError, "empty isolating interval"),
+        ({"interval": (Fraction(1), Fraction(1, 2))}, ValueError, "empty isolating interval"),
+        ({"multiplicity": True}, TypeError, "multiplicity must be an int"),
+        ({"multiplicity": 2.0}, TypeError, "multiplicity must be an int"),
+        ({"multiplicity": 0}, ValueError, "below 1"),
+        ({"multiplicity": -1}, ValueError, "below 1"),
+        ({"angle_bounds": (Fraction(2), Fraction(1))}, ValueError, "not ordered"),
+    ],
+)
+def test_unit_root_witness_checks_itself(changes, error, message):
+    # equal angle bounds are ordered
+    good = UnitRootWitness(
+        interval=(Fraction(-1), Fraction(1)), multiplicity=2, angle_bounds=(Fraction(1), Fraction(1))
+    )
+    with pytest.raises(error, match=message):
+        replace(good, **changes)
 
 
 def test_alexander_rejects_an_unvalidated_matrix_with_det_4():

@@ -150,6 +150,34 @@ def test_import_and_parse_load_neither_dataclasses_nor_inspect():
         assert "inspect" not in loaded
 
 
+def test_import_and_parse_load_only_what_parsing_needs(tmp_path):
+    # every command parses first; laurent, fractions and csv wait for the
+    # functions that use them
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps(TREFOIL))
+    heavy = "('fractions', 'decimal', 'csv')"
+    code = (
+        "import sys, knotcert\n"
+        "from knotcert.corpus import parse_corpus\n"
+        "assert parse_corpus(sys.argv[1])[0].name == 'trefoil'\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'knotcert'))\n"
+        f"print(*(m for m in {heavy} if m in sys.modules))\n"
+    )
+    proc = _python("-c", code, str(corpus))
+    assert proc.returncode == 0, proc.stderr
+    ours, stdlib = proc.stdout.split("\n")[:2]
+    assert ours.split() == [
+        "knotcert",
+        "knotcert.corpus",
+        "knotcert.errors",
+        "knotcert.record",
+        "knotcert.seifert",
+    ]
+    # unless the interpreter's own start-up loads them
+    bare = _python("-c", f"import sys; print(*(m for m in {heavy} if m in sys.modules))")
+    assert set(stdlib.split()) <= set(bare.stdout.split())
+
+
 def test_package_source_has_no_assert_statement():
     # python -O strips assert statements, so every fail-closed check must raise
     files = sorted(Path(knotcert.__file__).parent.glob("*.py"))

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import knotcert
@@ -78,6 +79,13 @@ def test_plot_gallery_is_deterministic(tmp_path):
     assert files == _files(second)
 
 
+def _mutation_gate():
+    spec = importlib.util.spec_from_file_location("mutation_gate", SCRIPTS / "mutation_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
 def test_mutation_gate_lists_its_sites_and_runs_nothing():
     lines = _run("mutation_gate.py", "--list").stdout.splitlines()
     assert "seifert.py" in lines[-1] and lines[-1].endswith(" det_int raise")
@@ -87,12 +95,30 @@ def test_mutation_gate_lists_its_sites_and_runs_nothing():
         assert (SCRIPTS.parent / "src" / "knotcert" / name).is_file() and int(lineno) > 0
         assert kind in ("raise", "return False")
     assert any(line.endswith(" _multiplicity_proved return False") for line in lines)
+    # a record's self-checks and a listed guard
+    assert any(line.endswith(" UnitRootWitness.__post_init__ raise") for line in lines)
+    assert any(line.endswith(" _rational_sqrt_between raise") for line in lines)
+
+
+def test_mutation_gate_stops_a_tier1_run_that_hangs(tmp_path, monkeypatch):
+    gate = _mutation_gate()
+    monkeypatch.setattr(gate, "TIMEOUT_S", 5)
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_ok.py").write_text("def test_ok():\n    pass\n")
+    assert gate.tier1(tmp_path) == "passed"
+    (tests / "test_other.py").write_text("def test_fails():\n    assert False\n")
+    assert gate.tier1(tmp_path, ("tests/test_ok.py",)) == "failed"
+    # a minute, not forever: the run has its own session, so if this test is
+    # killed from outside, the sleeper outlives it
+    (tests / "test_other.py").write_text("import time\n\n\ndef test_hangs():\n    time.sleep(60)\n")
+    started = time.monotonic()
+    assert gate.tier1(tmp_path, ("tests/test_ok.py",)) == "timeout"
+    assert time.monotonic() - started < 30
 
 
 def test_mutation_gate_runs_a_module_s_own_tests_first():
-    spec = importlib.util.spec_from_file_location("mutation_gate", SCRIPTS / "mutation_gate.py")
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = _mutation_gate()
     root = SCRIPTS.parent
     assert gate.own_tests(root, "inertia.py") == ("tests/test_inertia.py",)
     assert gate.own_tests(root, "corpus.py") == ("tests/test_corpus_cli.py",)
