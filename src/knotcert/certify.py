@@ -54,7 +54,13 @@ class Certificate(Record, kw_only=True, uncompared=("profile",)):
     """Verdict plus the witnesses that justify it.
 
     The field order is the certificate JSON's key order: the JSON carries
-    the compared fields, so the recomputable ``profile`` is left out.
+    the compared fields, so the recomputable ``profile`` is left out.  The
+    constructor raises ValueError unless the verdict is one of the three;
+    an error is given and the consistency checks are not exactly when it is
+    INVALID_INPUT; the simple and odd-multiplicity witnesses are the roots
+    of the jump witnesses of multiplicity 1 and of odd multiplicity, by z
+    ascending; it is CERTIFIED exactly when a simple witness exists and
+    irreducibility is asserted; and the conclusion text is the verdict's.
     """
 
     name: str | None = None
@@ -70,6 +76,29 @@ class Certificate(Record, kw_only=True, uncompared=("profile",)):
     consistency_checks: ConsistencyChecks | None
     error: str | None = None
     profile: SignatureProfile | None = None
+
+    def __post_init__(self):
+        if self.verdict not in (CERTIFIED, NOT_APPLICABLE, INVALID_INPUT):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        invalid = self.verdict == INVALID_INPUT
+        if (self.error is not None) != invalid or (self.consistency_checks is None) != invalid:
+            raise ValueError(
+                f"a {self.verdict} certificate must have an error and no consistency checks"
+                f" exactly when it is {INVALID_INPUT}"
+            )
+        roots = [j.root for j in reversed(self.jump_witnesses)]  # jumps run by angle, z down
+        if self.simple_root_witnesses != tuple(w for w in roots if w.multiplicity == 1):
+            raise ValueError("simple_root_witnesses are not the simple roots of the jumps by z")
+        if self.odd_multiplicity_witnesses != tuple(w for w in roots if w.multiplicity % 2):
+            raise ValueError("odd_multiplicity_witnesses are not the odd roots of the jumps by z")
+        meta = self.assumptions_echoed
+        if (self.verdict == CERTIFIED) != bool(self.simple_root_witnesses and meta.assume_irreducible):
+            raise ValueError(
+                f"verdict {self.verdict} with {len(self.simple_root_witnesses)} simple witnesses"
+                f" and assume_irreducible={meta.assume_irreducible}"
+            )
+        if self.conclusion_text != _conclusion(self.verdict, meta, self.jump_witnesses):
+            raise ValueError(f"conclusion_text is not that of verdict {self.verdict}")
 
     @property
     def unit_root_count(self) -> int:

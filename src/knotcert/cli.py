@@ -10,9 +10,10 @@ bound on work, not on digits).  An error row prints as ``ERROR row N
 error reads the same.  An entry is one if an Alexander coefficient or root
 interval endpoint it prints is too long to write (signature prints neither).
 Each command loads only the layers it runs: validate, alexander and roots
-load corpus, errors, laurent and seifert; signature, certify and report
-also load certify and inertia, which the command functions below import;
-every plateau form is evaluated in one loop in this process.
+load corpus, errors, laurent, record and seifert; signature, certify and
+report also load certify and inertia, and certify, report and --plot
+emit, which the command functions below import; every plateau form is
+evaluated in one loop in this process.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 an error row
 or another input or validation error (a missing, unreadable or non-UTF-8
 --input, an --out that names a directory, or an --out or --plot path that
@@ -27,16 +28,7 @@ import re
 import sys
 from pathlib import Path
 
-from .corpus import (
-    FORMATS,
-    CorpusError,
-    _unwritable,
-    certificates_to_json,
-    certify_rows,
-    emit_profile_plot,
-    emit_report,
-    parse_corpus,
-)
+from .corpus import FORMATS, CorpusError, _unwritable, parse_corpus
 from .errors import (
     CorpusParseError,
     InternalInconsistencyError,
@@ -184,10 +176,11 @@ def _cmd_roots(rows, args) -> int:
 
 def _write_plots(certs, args) -> None:
     """Write the step plot of every certificate with a profile into --plot, if given."""
-    from .inertia import to_paper_parametrization
-
     if args.plot is None:
         return
+    from .emit import emit_profile_plot
+    from .inertia import to_paper_parametrization
+
     out = Path(args.plot)  # made by main before the work
     used: set[str] = set()
     for cert in certs:
@@ -236,12 +229,15 @@ def _cmd_signature(rows, args) -> int:
 def _certificates(rows, args):
     """Certificates of all rows, and the exit status their verdicts give."""
     from .certify import INVALID_INPUT
+    from .emit import certify_rows
 
     certs = certify_rows(rows, refine_bits=args.refine_bits)
     return certs, EXIT_INPUT_ERROR if any(c.verdict == INVALID_INPUT for c in certs) else EXIT_OK
 
 
 def _cmd_certify(rows, args) -> int:
+    from .emit import certificates_to_json
+
     certs, status = _certificates(rows, args)
     text = certificates_to_json(certs)
     sys.stdout.write(text)
@@ -251,6 +247,8 @@ def _cmd_certify(rows, args) -> int:
 
 
 def _cmd_report(rows, args) -> int:
+    from .emit import emit_report
+
     certs, status = _certificates(rows, args)
     sys.stdout.write(emit_report(certs, format="table"))
     if args.out is not None:

@@ -18,15 +18,17 @@ Conventions used throughout:
 * Root isolation is exact and integer-only.  An interval is carried as two
   integer numerators over one positive denominator, (ka/d, kb/d]; halving
   it doubles ka, kb and d and looks only at the midpoint (ka+kb)/(2d).
-  Every sign is read off by integer Horner at a point k/d (``_sign_int``).
-  One Sturm chain, of the square-free part P / gcd(P, P'), counts the roots
-  in a bisection; multiplicities come from the chain of gcds with the
-  derivative.  Chains and gcds both read one remainder sequence
-  (``_remainders``) of integer pseudo-remainders (``_prem``).  An interval
-  that holds one root of a square-free polynomial is then refined by the
-  sign of that polynomial alone, carrying its sign at the right end
-  (``_halve``).  A ``Fraction`` is built only for a finished
-  ``UnitRootWitness``.
+  Every sign is read off by integer Horner at a point k/d (``_value_int``,
+  ``_sign_int``).  One Sturm chain, of the square-free part P / gcd(P, P'),
+  counts the roots in a bisection; multiplicities come from the chain of
+  gcds with the derivative.  Chains and gcds both read one remainder
+  sequence (``_remainders``) of integer pseudo-remainders (``_prem``).
+  Close intervals are separated by halving, carrying the sign at the right
+  end (``_halve``).  An interval that holds one root of a square-free
+  polynomial is then refined on that polynomial alone by quadratic interval
+  refinement (``_refine``): secant steps, each proved by exact signs, that
+  land on the cell halving would reach.  A ``Fraction`` is built only for a
+  finished ``UnitRootWitness``.
   Isolating intervals are half-open (lo, hi], so a dyadic root hit by
   bisection sits at the right endpoint.
 * ``unproved_claim`` proves the isolation without the Sturm path: by
@@ -96,11 +98,11 @@ def _pderiv(a: IntPoly) -> IntPoly:
     return _trim([i * a[i] for i in range(1, len(a))])
 
 
-def _sign_int(a: Sequence[int], k: int, d: int) -> int:
-    """Sign of a(k/d) for integers k and d > 0, in integers only.
+def _value_int(a: Sequence[int], k: int, d: int) -> int:
+    """d^n * a(k/d) for integers k and d > 0, n = deg a, in integers only.
 
-    With n = deg a, d^n * a(k/d) = sum of c_i k^i d^(n-i), which Horner
-    builds as acc*k + c*d^(n-i); d > 0, so it has the sign of a(k/d).
+    d^n * a(k/d) = sum of c_i k^i d^(n-i), which Horner builds as
+    acc*k + c*d^(n-i).
     """
     coeffs = reversed(a)
     acc = next(coeffs, 0)
@@ -108,7 +110,16 @@ def _sign_int(a: Sequence[int], k: int, d: int) -> int:
     for c in coeffs:
         d_pow *= d
         acc = acc * k + c * d_pow
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_int(a: Sequence[int], k: int, d: int) -> int:
+    """Sign of a(k/d) for integers k and d > 0: that of ``_value_int``, since d > 0."""
+    return _sign(_value_int(a, k, d))
 
 
 def _num_den(x: int | Fraction) -> tuple[int, int]:
@@ -520,6 +531,52 @@ def _halve(f: IntPoly, ka: int, kb: int, d: int, s_b: int) -> tuple[int, int, in
     return 2 * ka, km, 2 * d, s_mid
 
 
+def _refine(f: IntPoly, ka: int, kb: int, d: int, halvings: int) -> tuple[int, int, int, int]:
+    """The cell ``halvings`` halvings of (ka/d, kb/d] keep, by quadratic interval refinement.
+
+    (ka/d, kb/d] holds exactly one root of the square-free f, and f(ka/d) != 0.
+    A step splits the cell into m = 2^e cells of the grid that halving
+    visits, and the secant through f at the two ends picks one.  The pick is
+    kept if the signs at its ends prove that it holds the root, under the
+    (lo, hi] convention of ``_halve``, and e doubles; else e halves and the
+    step is one halving.  e never takes the depth past ``halvings``.  At
+    every depth one grid cell holds the root, so the result is the cell of
+    ``_halve`` applied ``halvings`` times, with the sign of f at its right
+    end.  Near a simple root the secant's error squares with each step, so
+    about log2(halvings) steps are taken (Abbott 2006; Kerber and Sagraloff,
+    ISSAC 2011), not one sign per halving.
+    """
+    n = len(f) - 1
+    width = kb - ka  # every cell is width/d wide, as in _halve
+    # d^n f at the ends, one scale for both, as the secant needs
+    fa, fb = _value_int(f, ka, d), _value_int(f, kb, d)
+    e = 2
+    while halvings:
+        e = min(e, halvings)
+        m = 1 << e
+        # the secant's zero is ka/d + t*width/d with t = fa/(fa - fb) in (0, 1]
+        i = min(m * fa // (fa - fb), m - 1)
+        lo, dm = ka * m + i * width, d * m
+        # an end shared with the cell is known; its value scales by m^n
+        f_lo = fa << e * n if i == 0 else _value_int(f, lo, dm)
+        f_hi = fb << e * n if i == m - 1 else _value_int(f, lo + width, dm)
+        if f_hi == 0 or (f_lo and _sign(f_lo) != _sign(f_hi)):
+            ka, kb, d, fa, fb = lo, lo + width, dm, f_lo, f_hi
+            halvings -= e
+            e *= 2
+            continue
+        e = max(1, e // 2)
+        km = ka + kb  # one halving, as _halve takes it
+        fm = _value_int(f, km, 2 * d)
+        if fm and _sign(fm) != _sign(fb):
+            ka, kb, fa, fb = km, 2 * kb, fm, fb << n
+        else:
+            ka, kb, fa, fb = 2 * ka, km, fa << n, fm
+        d *= 2
+        halvings -= 1
+    return ka, kb, d, _sign(fb)
+
+
 def _tan_half_angle(z: Fraction, up: bool) -> float:
     """A float upper (``up``) or lower bound of u = sqrt((2 - z)/(2 + z)), -2 < z < 2.
 
@@ -592,18 +649,16 @@ def _yun(p: Sequence[int]) -> tuple[list[IntPoly], list[IntPoly]]:
     return radicals, factors
 
 
-def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]:
-    """Isolate all roots of P in the open interval (-2, 2), with multiplicities.
+def _unit_root_cells(p: ZPoly) -> list[tuple[int, int, int, int, IntPoly]]:
+    """(ka, kb, d, m, f) per root of P in (-2, 2), by z ascending.
 
     The radicals r_i and Yun factors of P come from ``_yun``.  The roots of
     r_0 = P / gcd(P, P') are isolated with one Sturm chain, and the
     intervals are halved on r_0 until they are pairwise disjoint with
-    positive gaps.  A root's multiplicity is then the number of r_i that
-    change sign or vanish over its interval.  Each interval is refined by
-    halving on the Yun factor r_(m-1) / r_m of its multiplicity m (r_(m-1)
-    at the top multiplicity), whose only root in the cell is that root,
-    until it lies strictly inside (-2, 2) and is no wider than
-    2^-refine_bits.  Witnesses are sorted by z ascending.
+    positive gaps.  A root's multiplicity m is then the number of r_i that
+    change sign or vanish over its interval (ka/d, kb/d], and f is the Yun
+    factor r_(m-1) / r_m (r_(m-1) at the top multiplicity), whose only root
+    in the cell is that root.
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -636,11 +691,25 @@ def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]
         # no root of P sits at ka/d now, so r_i changes sign over the cell or
         # vanishes at kb/d exactly when the root has multiplicity > i
         mult = sum(1 for r in radicals if _sign_int(r, ka, d) * _sign_int(r, kb, d) <= 0)
-        f = factors[mult - 1]
-        s_b = _sign_int(f, kb, d)
-        # the width (kb - ka)/d halves with each step because kb - ka is kept
-        wide = (kb - ka) << refine_bits
-        while wide > d or ka <= -2 * d or kb >= 2 * d:
+        out.append((ka, kb, d, mult, factors[mult - 1]))
+    return out
+
+
+def isolate_unit_roots(p: ZPoly, refine_bits: int = 32) -> list[UnitRootWitness]:
+    """Isolate all roots of P in the open interval (-2, 2), with multiplicities.
+
+    Each root's cell and Yun factor come from ``_unit_root_cells``.  The cell
+    is refined on that factor by ``_refine`` to the first halving depth at
+    which it is no wider than 2^-refine_bits, then halved until it lies
+    strictly inside (-2, 2).  The result is the cell that halving alone, one
+    sign per bit, would reach.  Witnesses are sorted by z ascending.
+    """
+    out = []
+    for ka, kb, d, mult, f in _unit_root_cells(p):
+        # the least j with (kb - ka) / (d 2^j) <= 2^-refine_bits
+        halvings = (-(-((kb - ka) << refine_bits) // d) - 1).bit_length()
+        ka, kb, d, s_b = _refine(f, ka, kb, d, halvings)
+        while ka <= -2 * d or kb >= 2 * d:
             ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
         lo, hi = Fraction(ka, d), Fraction(kb, d)
         out.append(

@@ -4,7 +4,9 @@ The floating-point ones go through numpy's eigensolvers and companion-matrix
 root finding; ``inertia_exact`` goes through symmetric elimination over
 ``Fraction``, ``sturm_count`` through a Sturm remainder sequence over
 ``Fraction`` and ``laurent_product`` through the convolution of exponent
-dicts.  None of them goes through the package's exact code paths.
+dicts.  None of them goes through the package's exact code paths, except
+``isolate_by_halving``: it starts from the package's separated cells and
+checks only how they are refined.
 """
 
 from __future__ import annotations
@@ -151,3 +153,24 @@ def sturm_count(f, lo: Fraction, hi: Fraction) -> int:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(Fraction(lo)) - variations(Fraction(hi))
+
+
+def isolate_by_halving(p, refine_bits: int) -> list[tuple[tuple[Fraction, Fraction], int]]:
+    """(interval, multiplicity) per root of P in (-2, 2), by z ascending, refined by halving.
+
+    The refinement ``isolate_unit_roots`` ran before it refined
+    quadratically: from the same separated cells and Yun factors
+    (``laurent._unit_root_cells``), one halving and one sign per step until
+    the cell is no wider than 2^-refine_bits and lies strictly inside (-2, 2).
+    ``_halve`` itself is checked against ``sturm_count`` in test_laurent.py.
+    """
+    from knotcert.laurent import _halve, _sign_int, _unit_root_cells
+
+    out = []
+    for ka, kb, d, mult, f in _unit_root_cells(p):
+        s_b = _sign_int(f, kb, d)
+        wide = (kb - ka) << refine_bits
+        while wide > d or ka <= -2 * d or kb >= 2 * d:
+            ka, kb, d, s_b = _halve(f, ka, kb, d, s_b)
+        out.append(((Fraction(ka, d), Fraction(kb, d)), mult))
+    return out

@@ -14,13 +14,8 @@ from knotcert.certify import (
     NOT_APPLICABLE,
     certify,
 )
-from knotcert.corpus import (
-    CorpusEntry,
-    CorpusError,
-    certificates_to_json,
-    certify_rows,
-    parse_corpus,
-)
+from knotcert.corpus import CorpusEntry, CorpusError, parse_corpus
+from knotcert.emit import certificates_from_json, certificates_to_json, certify_rows
 from knotcert.errors import InternalInconsistencyError
 from knotcert.fixtures import (
     FIGURE_EIGHT,
@@ -135,6 +130,59 @@ def test_certify_selects_simple_root_witnesses():
     granny = certify(granny_knot())
     assert granny.jump_witnesses and granny.simple_root_witnesses == ()
     assert granny.verdict == NOT_APPLICABLE
+
+
+def _tamper(cert, **changes) -> str:
+    obj = json.loads(certificates_to_json([cert]))[0]
+    obj.update(changes)
+    return json.dumps([obj])
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"verdict": "MAYBE"}, "unknown verdict 'MAYBE'"),
+        ({"error": "forged"}, "must have an error and no consistency checks exactly when"),
+        ({"consistency_checks": None}, "must have an error and no consistency checks exactly when"),
+        ({"verdict": INVALID_INPUT}, "must have an error and no consistency checks exactly when"),
+        # a CERTIFIED trefoil with no simple witness once read back without an error
+        ({"simple_root_witnesses": []}, "simple_root_witnesses are not"),
+        ({"odd_multiplicity_witnesses": []}, "odd_multiplicity_witnesses are not"),
+        ({"verdict": NOT_APPLICABLE}, "verdict NOT_APPLICABLE with 1 simple witnesses"),
+        (
+            {
+                "assumptions_echoed": {
+                    "assume_irreducible": False,
+                    "assume_homology_sphere": True,
+                    "assume_m0_prime": False,
+                }
+            },
+            "verdict CERTIFIED with 1 simple witnesses and assume_irreducible=False",
+        ),
+        ({"conclusion_text": "Certified."}, "conclusion_text is not that of verdict CERTIFIED"),
+    ],
+)
+def test_certificate_checks_itself_as_it_is_read(changes, match):
+    cert = certify(TREFOIL, name="trefoil")
+    assert certificates_from_json(_tamper(cert)) == [cert]
+    with pytest.raises(ValueError, match=match):
+        certificates_from_json(_tamper(cert, **changes))
+
+
+def test_certificate_witnesses_follow_z_order():
+    # T(2,5) has two simple roots; the jumps run by angle, the witnesses by z
+    cert = certify(TORUS_2_5)
+    simple = [w.interval[0] for w in cert.simple_root_witnesses]
+    assert len(simple) == 2 and simple == sorted(simple)
+    obj = json.loads(certificates_to_json([cert]))[0]
+    for key in ("simple_root_witnesses", "odd_multiplicity_witnesses"):
+        with pytest.raises(ValueError, match=f"{key} are not"):
+            certificates_from_json(_tamper(cert, **{key: obj[key][::-1]}))
+    # an INVALID_INPUT record passes its own checks, and replace checks a copy
+    invalid = certify([[0, 0], [0, 0]])
+    assert certificates_from_json(certificates_to_json([invalid])) == [invalid]
+    with pytest.raises(ValueError, match="unknown verdict"):
+        replace(invalid, verdict="MAYBE")
 
 
 @pytest.mark.parametrize("bits", [-1, MAX_REFINE_BITS + 1, 15000])

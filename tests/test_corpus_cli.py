@@ -16,18 +16,15 @@ import pytest
 
 from knotcert.certify import CERTIFIED, INVALID_INPUT, certify
 from knotcert.cli import main
-from knotcert.corpus import (
-    CorpusEntry,
-    CorpusError,
+from knotcert.corpus import CorpusEntry, CorpusError, parse_corpus, write_corpus
+from knotcert.emit import (
     certificates_from_json,
     certificates_to_json,
     certify_rows,
     emit_profile_plot,
     emit_report,
-    parse_corpus,
     profile_csv,
     profile_steps,
-    write_corpus,
 )
 from knotcert.errors import (
     CorpusParseError,
@@ -869,12 +866,13 @@ def test_cli_rejects_boolean_matrix_entries(tmp_path, capsys):
 
 
 def test_cli_internal_inconsistency_exit_code(corpus_file, monkeypatch):
-    import knotcert.cli as cli_mod
+    import knotcert.emit as emit_mod
 
     def boom(rows, refine_bits=32):
         raise InternalInconsistencyError("forced for the exit-code test")
 
-    monkeypatch.setattr(cli_mod, "certify_rows", boom)
+    # the command imports certify_rows from knotcert.emit when it runs
+    monkeypatch.setattr(emit_mod, "certify_rows", boom)
     assert main(["report", "--input", str(corpus_file)]) == 2
 
 

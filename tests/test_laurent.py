@@ -62,7 +62,7 @@ from knotcert.record import replace
 from knotcert.seifert import SeifertMatrix, block_sum, mirror, validate
 
 from conftest import seifert_matrices
-from oracles import distinct_real_roots_float, laurent_product, sturm_count
+from oracles import distinct_real_roots_float, isolate_by_halving, laurent_product, sturm_count
 
 
 # --- Alexander polynomial ---------------------------------------------------
@@ -679,6 +679,81 @@ def test_dyadic_root_of_5_2_at_right_endpoint(bits):
     lo, hi = w.interval
     assert hi == Fraction(3, 2)
     assert lo < hi and hi - lo <= Fraction(1, 2**bits)
+
+
+def _halving_agrees(p: ZPoly, bits: int) -> list[UnitRootWitness]:
+    witnesses = isolate_unit_roots(p, refine_bits=bits)
+    assert [(w.interval, w.multiplicity) for w in witnesses] == isolate_by_halving(p, bits)
+    return witnesses
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=8),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=3),
+    st.integers(0, 3),
+    st.sampled_from([0, 1, 32, 320, 1000]),
+)
+@settings(max_examples=150, deadline=None)
+def test_refinement_lands_on_the_cell_halving_reaches(base, factor, power, bits):
+    # power 0 leaves a random, almost always square-free polynomial; a power
+    # above 1 repeats the factor's roots
+    coeffs = base
+    for _ in range(power):
+        coeffs = _pmul(coeffs, factor)
+    p = ZPoly(coeffs)
+    assume(p.degree >= 1 and _sign_at(p.coeffs, 2) != 0 and _sign_at(p.coeffs, -2) != 0)
+    _halving_agrees(p, bits)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 32, 320, 1000])
+def test_refinement_matches_halving_on_repeated_roots(bits):
+    # (z - 1)^2 (z + 1)^3 (2z - 1) (z^2 - 2): roots -sqrt(2), -1, 1/2, 1 and
+    # sqrt(2), with a triple and a double root and a dyadic simple one
+    p = ZPoly(_pmul(_pmul(_pmul([1, -2, 1], [1, 3, 3, 1]), [-1, 2]), [-2, 0, 1]))
+    witnesses = _halving_agrees(p, bits)
+    assert [w.multiplicity for w in witnesses] == [1, 3, 1, 2, 1]
+
+
+@pytest.mark.parametrize("bits", [0, 8, 32])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_refinement_near_plus_minus_two_halves_into_the_open_interval(sign, bits):
+    # P = a^2 z + sign (1 - 2a^2) has its root sign (2 - 1/a^2), about 2^-40
+    # inside +-2, so the cell of width 2^-bits still ends at +-2 and the
+    # halving after refinement runs; 2 is a grid point, so the cell it ends
+    # with is no wider than the root's distance to +-2
+    a = 10**6
+    p = ZPoly([sign * (1 - 2 * a * a), a * a])
+    (w,) = _halving_agrees(p, bits)
+    lo, hi = w.interval
+    assert -2 < lo < sign * (2 - Fraction(1, a * a)) <= hi < 2
+    assert hi - lo <= Fraction(1, a * a) < Fraction(1, 2**bits)
+
+
+def test_refinement_takes_a_twentieth_of_the_halving_evaluations(monkeypatch):
+    # evaluations are counted, not timed: halving takes one per bit and root,
+    # quadratic refinement about log2(bits) steps of two
+    import knotcert.laurent as laurent_mod
+
+    calls = []
+    value_int = laurent_mod._value_int
+
+    def counting(a, k, d):
+        calls.append(k)
+        return value_int(a, k, d)
+
+    monkeypatch.setattr(laurent_mod, "_value_int", counting)
+    p = to_z_poly(alexander_poly(torus_knot(2, 17)))  # eight simple roots
+    quadratic = {}
+    for bits in (1000, 3200):
+        calls.clear()
+        assert len(isolate_unit_roots(p, refine_bits=bits)) == 8
+        quadratic[bits] = len(calls)
+    calls.clear()
+    _halving_agrees(p, 1000)
+    halving = len(calls) - quadratic[1000]
+    assert 20 * quadratic[1000] <= halving
+    # the halving loop's count grows 3.2-fold from 1000 to 3200 bits
+    assert quadratic[3200] < 1.25 * quadratic[1000]
 
 
 def test_isolation_builds_no_fraction_per_halving(monkeypatch):

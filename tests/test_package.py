@@ -66,7 +66,8 @@ ORDERS = {
     "from-import after submodules": "import knotcert.inertia, knotcert.certify\n"
     "from knotcert import certify, inertia\nassert callable(certify) and callable(inertia)\n"
     "import knotcert as k\n",
-    "certify_rows run first": "import sys\nfrom knotcert.corpus import certify_rows, parse_corpus\n"
+    "certify_rows run first": "import sys\nfrom knotcert.corpus import parse_corpus\n"
+    "from knotcert.emit import certify_rows\n"
     "assert certify_rows(parse_corpus(sys.argv[1]))[0].verdict == 'CERTIFIED'\n"
     "import knotcert as k\n",
 }
@@ -116,10 +117,23 @@ def test_commands_load_only_the_layers_they_run(command, loads_certify, tmp_path
     assert "knotcert.cli" in loaded and "knotcert.laurent" in loaded
     assert ("knotcert.certify" in loaded) is loads_certify
     assert ("knotcert.inertia" in loaded) is loads_certify
+    # certificate JSON, reports and plots: only the commands that write them
+    assert ("knotcert.emit" in loaded) is (command in ("certify", "report"))
     # the plateaus of every matrix are evaluated in this process
     assert not {"multiprocessing", "concurrent.futures"} & loaded
     # records are knotcert.record classes; importing dataclasses costs milliseconds
     assert "dataclasses" not in loaded
+
+
+def test_signature_loads_emit_only_to_plot(tmp_path):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps(TREFOIL))
+    for plot, loads_emit in (([], False), (["--plot", str(tmp_path / "plots")], True)):
+        argv = ["-X", "importtime", "-m", "knotcert", "signature", "--input", str(corpus), *plot]
+        proc = _python(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert ("knotcert.emit" in _imported_modules(proc.stderr)) is loads_emit
+    assert (tmp_path / "plots" / "trefoil.svg").is_file()
 
 
 def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
@@ -130,7 +144,7 @@ def test_import_and_parse_load_neither_certify_nor_inertia(tmp_path):
         "assert sorted(m for m in sys.modules if m.startswith('knotcert')) == ['knotcert']\n"
         "from knotcert.corpus import parse_corpus\n"
         "assert parse_corpus(sys.argv[1])[0].name == 'trefoil'\n"
-        "loaded = {'knotcert.certify', 'knotcert.inertia'} & set(sys.modules)\n"
+        "loaded = {'knotcert.certify', 'knotcert.emit', 'knotcert.inertia'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     proc = _python("-c", code, str(corpus))

@@ -109,9 +109,13 @@ def test_mutation_gate_stops_a_tier1_run_that_hangs(tmp_path, monkeypatch):
     assert gate.tier1(tmp_path) == "passed"
     (tests / "test_other.py").write_text("def test_fails():\n    assert False\n")
     assert gate.tier1(tmp_path, ("tests/test_ok.py",)) == "failed"
-    # a minute, not forever: the run has its own session, so if this test is
-    # killed from outside, the sleeper outlives it
-    (tests / "test_other.py").write_text("import time\n\n\ndef test_hangs():\n    time.sleep(60)\n")
+    # the run has its own session, so a kill of this pytest's process group
+    # misses it: it sleeps past TIMEOUT_S only while this pytest, its parent,
+    # is alive, and ends once it is reparented
+    (tests / "test_other.py").write_text(
+        "import os\nimport time\n\nPARENT = os.getppid()\n\n\n"
+        "def test_hangs():\n    while os.getppid() == PARENT:\n        time.sleep(0.1)\n"
+    )
     started = time.monotonic()
     assert gate.tier1(tmp_path, ("tests/test_ok.py",)) == "timeout"
     assert time.monotonic() - started < 30
