@@ -3,7 +3,10 @@
 A site is a ``raise InternalInconsistencyError(...)`` statement, a check's
 ``return False``, any ``raise`` in a record's ``__post_init__`` (the checks
 that keep invalid instances from existing) and any ``raise`` in a function
-of GUARDS, found with ``ast``.  Each site in turn is replaced by ``pass`` in
+of GUARDS, found with ``ast``; each of these statements is replaced by
+``pass``.  In the modules of FLIPPED, a function that holds such a site has
+one more site for each ``<``, ``<=``, ``==`` and ``!=``, which is flipped to
+``<=``, ``<``, ``!=`` and ``==``.  Each site in turn is mutated in
 a temporary copy of the checkout, and the tier-1 suite runs there with
 ``-x -q``: first the mutated module's own tests (``tests/test_<module>*.py``),
 then, if those pass, the rest.  A mutant that passes the suite survives.  A
@@ -32,29 +35,49 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "knotcert"
 
-# (file under src/knotcert, function) -> why no test can catch its sites
-REVIEWED_SURVIVORS: dict[tuple[str, str], str] = {}
+# (file under src/knotcert, function, kind) -> why no test can catch those sites
+REVIEWED_SURVIVORS: dict[tuple[str, str, str], str] = {}
 
 # (file under src/knotcert, function) -> why its raise statements are sites
 GUARDS: dict[tuple[str, str], str] = {
     ("inertia.py", "_rational_sqrt_between"): "past its range the doubling loop never ends",
+    ("emit.py", "_from_obj"): "the certificate reader's one rule and the JSON types it rests on",
+    ("emit.py", "_rational"): "a rational with a zero denominator is not a number",
 }
+
+# files under src/knotcert whose checking functions also get comparison flips
+FLIPPED = ("laurent.py", "inertia.py")
+FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 
 # seconds one tier-1 run may take; the whole suite takes well under a minute
 TIMEOUT_S = 300
 
 
+class Site(NamedTuple):
+    """One mutant: source bytes [start, end) of a module become text."""
+
+    file: str
+    function: str
+    line: int
+    kind: str  # "raise", "return False" or a flip such as "< to <="
+    start: int
+    end: int
+    text: bytes
+
+
 class _Sites(ast.NodeVisitor):
-    """Collects (qualified function name, statement) for every site of one module."""
+    """Collects (qualified function name, node) of one module's statement sites and comparisons."""
 
     def __init__(self, name: str):
         self.name = name
         self.scope: list[str] = []
         self.found: list[tuple[str, ast.stmt]] = []
+        self.compares: list[tuple[str, ast.Compare]] = []
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -72,28 +95,63 @@ class _Sites(ast.NodeVisitor):
             or (self.name, func) in GUARDS
         ):
             self.found.append((func, node))
+        self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return):
         if isinstance(node.value, ast.Constant) and node.value.value is False:
             self.found.append((".".join(self.scope), node))
+        self.generic_visit(node)
+
+    def visit_Compare(self, node: ast.Compare):
+        self.compares.append((".".join(self.scope), node))
+        self.generic_visit(node)
 
 
-def sites(root: Path) -> list[tuple[str, str, ast.stmt]]:
-    """(file, function, statement) of every site under root's package, in file order."""
+def sites(root: Path) -> list[Site]:
+    """Every site under root's package, in file order and then source order."""
     out = []
     for path in sorted((root / PACKAGE).glob("*.py")):
+        source = path.read_bytes()
+        lines = source.splitlines(keepends=True)
+
+        def offset(lineno: int, col: int) -> int:  # ast offsets count UTF-8 bytes
+            return sum(map(len, lines[: lineno - 1])) + col
+
         visitor = _Sites(path.name)
-        visitor.visit(ast.parse(path.read_bytes(), filename=str(path)))
-        out += [(path.name, func, node) for func, node in visitor.found]
+        visitor.visit(ast.parse(source, filename=str(path)))
+        found = [
+            Site(
+                path.name,
+                func,
+                node.lineno,
+                "return False" if isinstance(node, ast.Return) else "raise",
+                offset(node.lineno, node.col_offset),
+                offset(node.end_lineno, node.end_col_offset),
+                b"pass",
+            )
+            for func, node in visitor.found
+        ]
+        checking = {site.function for site in found} if path.name in FLIPPED else set()
+        for func, node in visitor.compares:
+            if func not in checking:
+                continue
+            for before, op, after in zip([node.left, *node.comparators], node.ops, node.comparators):
+                if type(op) not in FLIPS:
+                    continue
+                old, new = FLIPS[type(op)]
+                gap = offset(before.end_lineno, before.end_col_offset)
+                between = source[gap : offset(after.lineno, after.col_offset)]
+                assert between.count(old.encode()) == 1, between  # else this script is wrong
+                start = gap + between.index(old.encode())
+                kind, end = f"{old} to {new}", start + len(old)
+                found.append(Site(path.name, func, after.lineno, kind, start, end, new.encode()))
+        out += sorted(found, key=lambda site: site.start)
     return out
 
 
-def mutant(source: bytes, node: ast.stmt) -> bytes:
-    """source with the statement node replaced by ``pass``; ast offsets count UTF-8 bytes."""
-    lines = source.splitlines(keepends=True)
-    start = sum(map(len, lines[: node.lineno - 1])) + node.col_offset
-    end = sum(map(len, lines[: node.end_lineno - 1])) + node.end_col_offset
-    out = source[:start] + b"pass" + source[end:]
+def mutant(source: bytes, site: Site) -> bytes:
+    """source with the site's bytes replaced by its text."""
+    out = source[: site.start] + site.text + source[site.end :]
     ast.parse(out)  # a mutant that does not parse is a bug of this script
     return out
 
@@ -145,9 +203,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     found = sites(ROOT)
     if args.list:
-        for name, func, node in found:
-            kind = "return False" if isinstance(node, ast.Return) else "raise"
-            print(f"{name}:{node.lineno} {func} {kind}")
+        for site in found:
+            print(f"{site.file}:{site.line} {site.function} {site.kind}")
         return 0
 
     started = time.monotonic()
@@ -159,35 +216,36 @@ def main(argv=None) -> int:
         if unmutated != "passed":
             print(f"tier-1 {unmutated} on the unmutated copy; no mutant can be judged")
             return 1
-        survivors, timeouts = set(), []
-        for name, func, node in found:
-            path = checkout / PACKAGE / name
+        survivors, timeouts = [], []
+        for site in found:
+            path = checkout / PACKAGE / site.file
             original = path.read_bytes()
-            path.write_bytes(mutant(original, node))
+            path.write_bytes(mutant(original, site))
             t0 = time.monotonic()
             try:
-                result = tier1(checkout, own_tests(checkout, name))
+                result = tier1(checkout, own_tests(checkout, site.file))
             finally:
                 path.write_bytes(original)
+            where = f"{site.file}:{site.line} {site.function} {site.kind}"
             if result == "passed":
-                survivors.add((name, func))
+                survivors.append((site.file, site.function, site.kind))
             elif result == "timeout":
-                timeouts.append(f"{name}:{node.lineno} {func}")
+                timeouts.append(where)
             verdict = {"failed": "caught", "passed": "SURVIVED", "timeout": "TIMEOUT"}[result]
             seconds = time.monotonic() - t0
-            print(f"{name}:{node.lineno} {func}: {verdict} ({seconds:.0f} s)", flush=True)
+            print(f"{where}: {verdict} ({seconds:.0f} s)", flush=True)
 
-    unreviewed = sorted(survivors - REVIEWED_SURVIVORS.keys())
-    stale = sorted(REVIEWED_SURVIVORS.keys() - survivors)
+    unreviewed = sorted(set(survivors) - REVIEWED_SURVIVORS.keys())
+    stale = sorted(REVIEWED_SURVIVORS.keys() - set(survivors))
     caught = len(found) - len(survivors) - len(timeouts)
     print(
         f"{len(found)} sites, {caught} caught, {len(survivors)} survived, "
         f"{len(timeouts)} timed out, in {time.monotonic() - started:.0f} s"
     )
-    for name, func in unreviewed:
-        print(f"unreviewed survivor: {name} {func}")
-    for name, func in stale:
-        print(f"reviewed survivor no longer survives: {name} {func}")
+    for name, func, kind in unreviewed:
+        print(f"unreviewed survivor: {name} {func} {kind}")
+    for name, func, kind in stale:
+        print(f"reviewed survivor no longer survives: {name} {func} {kind}")
     for where in timeouts:
         print(f"timed out after {TIMEOUT_S} s: {where}")
     return 1 if unreviewed or stale or timeouts else 0

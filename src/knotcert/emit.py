@@ -1,10 +1,10 @@
 """What certify, report and --plot write: certificate JSON, reports and step plots.
 
 ``certify_rows`` certifies parsed corpus rows.  Certificate JSON is the
-compared fields of the record classes in declaration order, and reads back
-losslessly with ``certificates_from_json``.  All emitted artifacts
-(certificate JSON, report JSON, SVG, CSV) are byte-deterministic for a fixed
-input.  Parsing needs none of this, so ``knotcert.corpus`` does not import
+compared fields of the record classes in declaration order, and
+``certificates_from_json`` reads back exactly what it writes.  All emitted
+artifacts (certificate JSON, report JSON, SVG, CSV) are byte-deterministic
+for a fixed input.  Parsing needs none of this, so ``knotcert.corpus`` does not import
 it; the commands that write output do.
 """
 
@@ -19,11 +19,11 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .certify import Certificate, _invalid_certificate, certify
 from .corpus import CorpusEntry, ParsedRow, _unwritable
-from .errors import UnknownFormatError
+from .errors import NormalizationError, NotReciprocalError, UnknownFormatError
 from .inertia import SignatureProfile
 from .laurent import SymmetricLaurentPoly, alexander_poly
 from .record import Record, replace
-from .seifert import KnotMetadata, SeifertMatrix
+from .seifert import KnotMetadata
 
 # ---------------------------------------------------------------------------
 # certificate JSON schema: the record class declarations are the schema
@@ -31,8 +31,6 @@ from .seifert import KnotMetadata, SeifertMatrix
 
 def _to_obj(x):
     """JSON-ready form of x: a record becomes its compared fields in order."""
-    if isinstance(x, SeifertMatrix):
-        return _to_obj(x.entries)
     if isinstance(x, SymmetricLaurentPoly):
         return {str(k): x.coeffs[k] for k in sorted(x.coeffs)}
     if isinstance(x, Record):
@@ -49,15 +47,14 @@ _field_types = functools.cache(get_type_hints)
 
 
 def _from_obj(tp, obj):
-    """Inverse of _to_obj for a value declared with type tp: obj must be what _to_obj writes.
+    """Inverse of _to_obj for a value declared with type tp.
 
-    A value of another JSON type than _to_obj writes for tp raises TypeError
-    (a bool is not an int, a rational is a string, null stands only for an
-    Optional).  These raise ValueError: a fixed-length tuple of another
-    length; a record object with a key that is not one of its compared
-    fields, or without one of them; an Alexander exponent or a rational not
-    written as str() writes it ("+1", "2/2", a space, a non-ASCII digit).
-    A record's own checks run as it is built.
+    A value must come in the JSON type _to_obj writes for tp, else TypeError
+    (a bool is not an int, a rational is a string, null is only an Optional).
+    One rule holds each record to its JSON: written back, it must give the
+    object read, else ValueError names the record and the first key that
+    differs.  A record checks itself as it is built (a tuple's length, too).
+    Other errors in reading a field become TypeError or ValueError naming it.
     """
     if type(None) in get_args(tp):  # an Optional
         if obj is None:
@@ -68,43 +65,40 @@ def _from_obj(tp, obj):
     json_type = list if args else dict if issubclass(tp, Record) else str if tp is Fraction else tp
     if type(obj) is not json_type:
         raise TypeError(f"expected {json_type.__name__}, not {type(obj).__name__}")
-    if args:
-        if args[-1] is Ellipsis:
-            return tuple(_from_obj(args[0], v) for v in obj)
-        if len(obj) != len(args):
-            raise ValueError(f"expected {len(args)} values, not {len(obj)}")
-        return tuple(_from_obj(a, v) for a, v in zip(args, obj))
+    if args:  # every tuple field holds values of one type
+        return tuple(_from_obj(args[0], v) for v in obj)
     if tp is SymmetricLaurentPoly:
-        return SymmetricLaurentPoly({_exponent(k): v for k, v in obj.items()})
+        return SymmetricLaurentPoly({int(k): v for k, v in obj.items()})
     if issubclass(tp, Record):
-        for key in obj:
-            if key not in tp._compared:
-                raise ValueError(f"unknown {tp.__name__} key {key!r}")
-        for name in tp._compared:
-            if name not in obj:
-                raise ValueError(f"missing {tp.__name__} key {name!r}")
-        hints = _field_types(tp)
-        return tp(**{name: _from_obj(hints[name], obj[name]) for name in tp._compared})
+        hints, fields = _field_types(tp), {}
+        for name in [name for name in tp._compared if name in obj]:
+            try:
+                fields[name] = _from_obj(hints[name], obj[name])
+            except (TypeError, ValueError, NormalizationError, NotReciprocalError) as exc:
+                error = TypeError if isinstance(exc, TypeError) else ValueError
+                raise error(f"{tp.__name__} key {name!r}: {exc}") from exc
+        # the one rule: the record, written back, is the object read
+        written = {name: _to_obj(value) for name, value in fields.items()}
+        for key in (*obj, *tp._compared):
+            if key not in written or written[key] != obj[key]:
+                how = (
+                    "is missing" if key not in obj
+                    else "is never written" if key not in written
+                    else f"is written {json.dumps(written[key])}"
+                )
+                raise ValueError(f"{tp.__name__} key {key!r} {how}")
+        return tp(**fields)
     return _rational(obj) if tp is Fraction else obj
 
 
-def _exponent(key: str) -> int:
-    """The int written as key, which must be _to_obj's own form of it."""
-    exponent = int(key)
-    if str(exponent) != key:
-        raise ValueError(f"Alexander exponent {key!r} is not written as an integer")
-    return exponent
-
-
 def _rational(text: str) -> Fraction:
-    """The Fraction written as text, which must be _to_obj's own form of it."""
+    """The Fraction written as text, "p/q" or "p"; a zero denominator raises ValueError."""
+    # int(), unlike Fraction(), reads no exponent, so "1e99999999" costs no time
+    numerator, _, denominator = text.partition("/")
     try:
-        value = Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError as exc:
         raise ValueError(f"rational {text!r} has a zero denominator") from exc
-    if str(value) != text:
-        raise ValueError(f"rational {text!r} is not written as str(Fraction) writes it")
-    return value
 
 
 def certificates_to_json(certs: Sequence[Certificate]) -> str:
@@ -112,7 +106,8 @@ def certificates_to_json(certs: Sequence[Certificate]) -> str:
 
 
 def certificates_from_json(text: str) -> list[Certificate]:
-    return [_from_obj(Certificate, obj) for obj in json.loads(text)]
+    """The certificates that certificates_to_json wrote as text (see _from_obj)."""
+    return list(_from_obj(tuple[Certificate, ...], json.loads(text)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalInconsistencyError
-from .laurent import UnitRootWitness, ZPoly, arc_z_ranges, isolate_unit_roots
+from .laurent import UnitRootWitness, ZPoly, _is_exact, arc_z_ranges, isolate_unit_roots
 from .record import Record, replace
 from .seifert import SeifertMatrix
 
@@ -59,11 +59,6 @@ class GaussianRational(Record):
 CMatrix = list[list[GaussianRational]]
 Pairs = list[list[tuple[Fraction, Fraction]]]  # (re, im) entries, int or Fraction
 Sparse = list[list[tuple[int, Fraction, Fraction]]]  # each row's nonzero (j, re, im)
-
-
-def _is_exact(x) -> bool:
-    """The rule for an exact rational: an int or a Fraction, and not a bool."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 class UnitCirclePoint(Record):
@@ -197,7 +192,7 @@ def _inertia_from_char_poly(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
         zeros += 1
     stripped = list(coeffs[zeros:])
     positives = _descartes_positive(stripped)
-    negatives = _descartes_positive([c if i % 2 == 0 else -c for i, c in enumerate(stripped)])
+    negatives = _descartes_positive([-c if i % 2 else c for i, c in enumerate(stripped)])
     if positives + negatives != n - zeros:
         raise InternalInconsistencyError(
             "Descartes counts do not exhaust the spectrum; input was not Hermitian"

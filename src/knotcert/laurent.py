@@ -122,9 +122,14 @@ def _sign_int(a: Sequence[int], k: int, d: int) -> int:
     return _sign(_value_int(a, k, d))
 
 
+def _is_exact(x) -> bool:
+    """The rule for an exact rational: an int or a Fraction, and not a bool."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _num_den(x: int | Fraction) -> tuple[int, int]:
     """Numerator and positive denominator of an exact point; rejects anything else."""
-    if not isinstance(x, (int, Fraction)):
+    if not _is_exact(x):
         raise TypeError(f"exact sign needs an int or Fraction point, not {type(x).__name__}")
     return x.numerator, x.denominator
 
@@ -286,8 +291,9 @@ class UnitRootWitness(Record):
     ``angle_bounds`` is a rational enclosure of phi = arccos(z*/2) =
     2 atan(sqrt((2 - z*)/(2 + z*))), from float bounds nudged outward
     (``_angle_bounds``), for reporting only (decisions are made in z).
-    The constructor requires lo < hi, an int multiplicity of at least 1
-    (TypeError for a bool or a non-int) and ordered angle bounds.
+    The constructor requires two endpoints with lo < hi, an int
+    multiplicity of at least 1 (TypeError for a bool or a non-int) and two
+    ordered angle bounds (ValueError otherwise).
     """
 
     interval: tuple[Fraction, Fraction]
@@ -295,14 +301,14 @@ class UnitRootWitness(Record):
     angle_bounds: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        lo, hi = self.interval
+        (lo, hi), (low_angle, high_angle) = self.interval, self.angle_bounds
         if not lo < hi:
             raise ValueError(f"empty isolating interval ({lo}, {hi}]")
         if not isinstance(self.multiplicity, int) or isinstance(self.multiplicity, bool):
             raise TypeError(f"multiplicity must be an int, not {self.multiplicity!r}")
         if self.multiplicity < 1:
             raise ValueError(f"multiplicity {self.multiplicity} is below 1")
-        if not self.angle_bounds[0] <= self.angle_bounds[1]:
+        if not low_angle <= high_angle:
             raise ValueError(f"angle bounds {self.angle_bounds} are not ordered")
 
     @property

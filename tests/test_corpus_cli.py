@@ -309,7 +309,7 @@ def test_certificate_json_rejects_a_missing_key():
         for key in keys:
             target = target[key]
         del target[last]
-        with pytest.raises(ValueError, match=f"missing {record} key '{last}'"):
+        with pytest.raises(ValueError, match=f"{record} key '{last}' is missing"):
             certificates_from_json(json.dumps([obj]))
 
 
@@ -327,7 +327,7 @@ def test_certificate_json_rejects_an_unknown_key(rename, extra, key):
         obj[key] = obj.pop(rename)
     if extra:
         obj.update([extra])
-    with pytest.raises(ValueError, match=f"unknown Certificate key '{key}'"):
+    with pytest.raises(ValueError, match=f"Certificate key '{key}' is never written"):
         certificates_from_json(json.dumps([obj]))
 
 
@@ -380,7 +380,7 @@ def test_certificate_json_rejects_a_non_canonical_alexander_exponent(key, writte
     assert certificates_from_json(text) == [cert]
     obj = json.loads(text)[0]
     obj["alexander"][key] = obj["alexander"].pop(written)
-    with pytest.raises(ValueError, match="Alexander exponent"):
+    with pytest.raises(ValueError, match="Certificate key 'alexander' is written "):
         certificates_from_json(json.dumps([obj]))
 
 
@@ -396,7 +396,7 @@ def test_certificate_json_rejects_a_non_canonical_rational(lo, hi):
     interval = obj["simple_root_witnesses"][0]["interval"]
     assert interval[1] == "1"
     interval[:] = [lo or interval[0], hi]
-    with pytest.raises(ValueError, match="rational .* is not written as str"):
+    with pytest.raises(ValueError, match="UnitRootWitness key 'interval'"):
         certificates_from_json(json.dumps([obj]))
 
 

@@ -221,6 +221,9 @@ def test_inertia_fails_closed_when_descartes_counts_miss_eigenvalues():
     # x^2 + 1 has no real root, so neither sign count sees its two eigenvalues
     with pytest.raises(InternalInconsistencyError, match="do not exhaust"):
         _inertia_from_char_poly([Fraction(1), Fraction(0), Fraction(1)])
+    # nor is the zero polynomial, with every number a root, a characteristic polynomial
+    with pytest.raises(InternalInconsistencyError, match="do not exhaust"):
+        _inertia_from_char_poly([Fraction(0), Fraction(0)])
 
 
 @pytest.mark.parametrize("entries", [[[0, 1], [-1, 0]], [[0, 1], [0, 0]]])
@@ -629,6 +632,15 @@ def test_sample_outside_its_arc_raises_under_python_O(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert re.fullmatch(r"internal inconsistency: sample z = \S+ outside \(1, 2\)\n", proc.stderr)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (-1, 0)])
+def test_a_sample_on_an_end_of_its_range_fails_closed(lo, hi, monkeypatch):
+    # u = 1 is the point z = 0, an end of each range: the range is open
+    module = importlib.import_module("knotcert.inertia")
+    monkeypatch.setattr(module, "_rational_sqrt_between", lambda qa, qb: Fraction(1))
+    with pytest.raises(InternalInconsistencyError, match=r"^sample z = 0 outside"):
+        sample_point_in_z_range(Fraction(lo), Fraction(hi))
 
 
 def test_sample_point_in_z_range_is_exact_and_interior():

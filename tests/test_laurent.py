@@ -467,6 +467,9 @@ def test_sign_at_rejects_inexact_points():
         _sign_at([1, 1], 0.5)
     with pytest.raises(TypeError):
         _sign_at([1, 1], "1/2")
+    # a bool is not a point, by the exact-number rule the records use too
+    with pytest.raises(TypeError, match="not bool"):
+        _sign_at([1, 1], True)
 
 
 def _halves(f, ka, kb, d, steps):

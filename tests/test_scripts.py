@@ -93,11 +93,33 @@ def test_mutation_gate_lists_its_sites_and_runs_nothing():
         where, function, kind = line.split(" ", 2)
         name, lineno = where.split(":")
         assert (SCRIPTS.parent / "src" / "knotcert" / name).is_file() and int(lineno) > 0
-        assert kind in ("raise", "return False")
+        assert kind in ("raise", "return False") or kind in FLIP_KINDS
     assert any(line.endswith(" _multiplicity_proved return False") for line in lines)
-    # a record's self-checks and a listed guard
+    # a record's self-checks and listed guards, among them the certificate reader's rule
     assert any(line.endswith(" UnitRootWitness.__post_init__ raise") for line in lines)
     assert any(line.endswith(" _rational_sqrt_between raise") for line in lines)
+    assert any(line.endswith(" _from_obj raise") for line in lines)
+    # comparison flips, also inside a return, only in laurent.py and inertia.py
+    flips = [line for line in lines if line.split(" ", 2)[2] in FLIP_KINDS]
+    assert {line.split(":")[0] for line in flips} == {"laurent.py", "inertia.py"}
+    assert any(line.endswith(" _multiplicity_proved == to !=") for line in lines)
+
+
+FLIP_KINDS = ("< to <=", "<= to <", "== to !=", "!= to ==")
+
+
+def test_mutation_gate_flips_one_comparison_at_a_time(tmp_path):
+    gate = _mutation_gate()
+    # the return False site makes f a checking function, whose comparisons flip
+    source = b"def f(a, b):\n    if (a + 1) <= b == 2:\n        return False\n"
+    package = tmp_path / gate.PACKAGE
+    package.mkdir(parents=True)
+    (package / "laurent.py").write_bytes(source)
+    flips = [site for site in gate.sites(tmp_path) if site.kind in FLIP_KINDS]
+    assert [gate.mutant(source, site) for site in flips] == [
+        source.replace(b"<=", b"<"),
+        source.replace(b"==", b"!="),
+    ]
 
 
 def test_mutation_gate_stops_a_tier1_run_that_hangs(tmp_path, monkeypatch):
