@@ -6,10 +6,11 @@ that keep invalid instances from existing) and any ``raise`` in a function
 of GUARDS, found with ``ast``; each of these statements is replaced by
 ``pass``.  In the modules of FLIPPED, a function that holds such a site has
 one more site for each ``<``, ``<=``, ``==`` and ``!=``, which is flipped to
-``<=``, ``<``, ``!=`` and ``==``.  Each site in turn is mutated in
-a temporary copy of the checkout, and the tier-1 suite runs there with
-``-x -q``: first the mutated module's own tests (``tests/test_<module>*.py``),
-then, if those pass, the rest.  A mutant that passes the suite survives.  A
+``<=``, ``<``, ``!=`` and ``==``; so has each function of DECIDING, which
+holds no such site but computes what a check compares against.  Each site
+in turn is mutated in a temporary copy of the checkout, and the tier-1
+suite runs there with ``-x -q``: first the mutated module's own tests
+(``tests/test_<module>*.py``), then, if those pass, the rest.  A mutant that passes the suite survives.  A
 tier-1 run that takes longer than TIMEOUT_S is stopped, with every process
 it started, and its mutant gets the verdict TIMEOUT: a test that hangs
 catches nothing.  The gate exits 1 if the unmutated copy does not pass the
@@ -51,8 +52,14 @@ GUARDS: dict[tuple[str, str], str] = {
 }
 
 # files under src/knotcert whose checking functions also get comparison flips
-FLIPPED = ("laurent.py", "inertia.py")
+FLIPPED = ("laurent.py", "inertia.py", "certify.py")
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+
+# (file under src/knotcert, function) -> why its comparisons flip, though it holds no site
+DECIDING: dict[tuple[str, str], str] = {
+    ("certify.py", "_derived"): "the verdict and every field the certificate derives rest on it",
+    ("certify.py", "_conclusion"): "the conclusion text that _derived gives",
+}
 
 # seconds one tier-1 run may take; the whole suite takes well under a minute
 TIMEOUT_S = 300
@@ -132,6 +139,7 @@ def sites(root: Path) -> list[Site]:
             for func, node in visitor.found
         ]
         checking = {site.function for site in found} if path.name in FLIPPED else set()
+        checking |= {func for name, func in DECIDING if name == path.name}
         for func, node in visitor.compares:
             if func not in checking:
                 continue

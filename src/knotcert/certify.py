@@ -55,12 +55,10 @@ class Certificate(Record, kw_only=True, uncompared=("profile",)):
 
     The field order is the certificate JSON's key order: the JSON carries
     the compared fields, so the recomputable ``profile`` is left out.  The
-    constructor raises ValueError unless the verdict is one of the three;
-    an error is given and the consistency checks are not exactly when it is
-    INVALID_INPUT; the simple and odd-multiplicity witnesses are the roots
-    of the jump witnesses of multiplicity 1 and of odd multiplicity, by z
-    ascending; it is CERTIFIED exactly when a simple witness exists and
-    irreducibility is asserted; and the conclusion text is the verdict's.
+    constructor raises ValueError unless there is an error and no checks or
+    jumps, or no error and passed checks; the jumps start at 0 and each
+    where the last one ended; and the fields ``_derived`` computes hold its
+    values.  Messages name a field, never its value (it may not format).
     """
 
     name: str | None = None
@@ -69,36 +67,32 @@ class Certificate(Record, kw_only=True, uncompared=("profile",)):
     alexander: SymmetricLaurentPoly | None = None
     signature_at_minus_one: int | None = None
     simple_root_witnesses: tuple[UnitRootWitness, ...]
-    jump_witnesses: tuple[JumpReport, ...]
+    jump_witnesses: tuple[JumpReport, ...] = ()
     odd_multiplicity_witnesses: tuple[UnitRootWitness, ...]
     assumptions_echoed: KnotMetadata
     conclusion_text: str
-    consistency_checks: ConsistencyChecks | None
+    consistency_checks: ConsistencyChecks | None = None
     error: str | None = None
     profile: SignatureProfile | None = None
 
     def __post_init__(self):
-        if self.verdict not in (CERTIFIED, NOT_APPLICABLE, INVALID_INPUT):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        invalid = self.verdict == INVALID_INPUT
-        if (self.error is not None) != invalid or (self.consistency_checks is None) != invalid:
+        checks, jumps = self.consistency_checks, self.jump_witnesses
+        if not (
+            checks is None and not jumps if self.error is not None
+            else checks is not None and checks.all_passed()
+        ):
             raise ValueError(
-                f"a {self.verdict} certificate must have an error and no consistency checks"
-                f" exactly when it is {INVALID_INPUT}"
+                "a certificate must have an error and no consistency_checks or jump_witnesses,"
+                " or no error and passed consistency_checks"
             )
-        roots = [j.root for j in reversed(self.jump_witnesses)]  # jumps run by angle, z down
-        if self.simple_root_witnesses != tuple(w for w in roots if w.multiplicity == 1):
-            raise ValueError("simple_root_witnesses are not the simple roots of the jumps by z")
-        if self.odd_multiplicity_witnesses != tuple(w for w in roots if w.multiplicity % 2):
-            raise ValueError("odd_multiplicity_witnesses are not the odd roots of the jumps by z")
-        meta = self.assumptions_echoed
-        if (self.verdict == CERTIFIED) != bool(self.simple_root_witnesses and meta.assume_irreducible):
-            raise ValueError(
-                f"verdict {self.verdict} with {len(self.simple_root_witnesses)} simple witnesses"
-                f" and assume_irreducible={meta.assume_irreducible}"
-            )
-        if self.conclusion_text != _conclusion(self.verdict, meta, self.jump_witnesses):
-            raise ValueError(f"conclusion_text is not that of verdict {self.verdict}")
+        ends = (0, *(j.right_value for j in jumps))
+        if any(j.left_value != end for j, end in zip(jumps, ends)):
+            raise ValueError("jump_witnesses must start at 0 and each where the last one ended")
+        for name, value in _derived(self.assumptions_echoed, jumps, self.error).items():
+            if getattr(self, name) != value:
+                raise ValueError(
+                    f"{name} is not that derived from assumptions_echoed, jump_witnesses and error"
+                )
 
     @property
     def unit_root_count(self) -> int:
@@ -109,7 +103,31 @@ class Certificate(Record, kw_only=True, uncompared=("profile",)):
         return len(self.simple_root_witnesses)
 
 
-def _conclusion(verdict: str, meta: KnotMetadata, jumps: Sequence[JumpReport]) -> str:
+def _derived(meta: KnotMetadata, jumps: Sequence[JumpReport], error: str | None) -> dict:
+    """The certificate fields that its assumptions, jump witnesses and error decide.
+
+    The verdict is INVALID_INPUT with an error, else CERTIFIED exactly when
+    a simple root exists and irreducibility is asserted.  The witnesses are
+    the jumps' roots of multiplicity 1 and of odd multiplicity, by z
+    ascending.  signature_at_minus_one is the last jump's right value, 0
+    with no jumps and None with an error.
+    """
+    roots = [j.root for j in reversed(jumps)]  # jumps run by angle, z down
+    simple = tuple(w for w in roots if w.multiplicity == 1)
+    if error is not None:
+        verdict = INVALID_INPUT
+    else:
+        verdict = CERTIFIED if simple and meta.assume_irreducible else NOT_APPLICABLE
+    return {
+        "verdict": verdict,
+        "signature_at_minus_one": None if error is not None else jumps[-1].right_value if jumps else 0,
+        "simple_root_witnesses": simple,
+        "odd_multiplicity_witnesses": tuple(w for w in roots if w.multiplicity % 2 == 1),
+        "conclusion_text": _conclusion(verdict, meta, simple, jumps),
+    }
+
+
+def _conclusion(verdict: str, meta: KnotMetadata, simple: tuple, jumps: Sequence[JumpReport]) -> str:
     if verdict == CERTIFIED:
         text = (
             "The Alexander polynomial has a simple root on the unit circle. "
@@ -126,7 +144,7 @@ def _conclusion(verdict: str, meta: KnotMetadata, jumps: Sequence[JumpReport]) -
     if verdict == INVALID_INPUT:
         return "Input is not a valid Seifert matrix; nothing is certified."
     reasons = []
-    if not any(j.root.multiplicity == 1 for j in jumps):
+    if not simple:
         reasons.append("no simple unit-circle root of the Alexander polynomial")
     if not meta.assume_irreducible:
         reasons.append("irreducibility of the knot exterior was not asserted")
@@ -141,17 +159,7 @@ def _conclusion(verdict: str, meta: KnotMetadata, jumps: Sequence[JumpReport]) -
 
 
 def _invalid_certificate(meta: KnotMetadata, name: str | None, message: str) -> Certificate:
-    return Certificate(
-        verdict=INVALID_INPUT,
-        simple_root_witnesses=(),
-        jump_witnesses=(),
-        odd_multiplicity_witnesses=(),
-        assumptions_echoed=meta,
-        conclusion_text=_conclusion(INVALID_INPUT, meta, ()),
-        consistency_checks=None,
-        name=name,
-        error=message,
-    )
+    return Certificate(**_derived(meta, (), message), assumptions_echoed=meta, name=name, error=message)
 
 
 def certify(
@@ -209,20 +217,13 @@ def certify(
             f"consistency checks failed for {label or 'input'}: {checks}"
         )
 
-    simple = [w for w in witnesses if w.is_simple]
-    verdict = CERTIFIED if simple and meta.assume_irreducible else NOT_APPLICABLE
-    # isolate_unit_roots returns the witnesses sorted by z
     return Certificate(
-        verdict=verdict,
-        simple_root_witnesses=tuple(simple),
+        **_derived(meta, jumps, None),
         jump_witnesses=tuple(jumps),
-        odd_multiplicity_witnesses=tuple(w for w in witnesses if w.multiplicity % 2 == 1),
         assumptions_echoed=meta,
-        conclusion_text=_conclusion(verdict, meta, jumps),
         consistency_checks=checks,
         name=label,
         genus=matrix.genus,
         alexander=delta,
-        signature_at_minus_one=profile.value_at_minus_one,
         profile=profile,
     )

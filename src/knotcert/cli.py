@@ -17,13 +17,15 @@ evaluated in one loop in this process.
 Exit codes: 0 success (NOT_APPLICABLE verdicts included), 1 an error row
 or another input or validation error (a missing, unreadable or non-UTF-8
 --input, an --out that names a directory, or an --out or --plot path that
-cannot be written), 2 failed internal consistency check (in signature,
-certify or report), any other package error, or a bad option.
+cannot be written) or a stdout closed early, with nothing on stderr, 2
+failed internal consistency check (in signature, certify or report), any
+other package error, or a bad option.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -281,7 +283,13 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        return args.run(rows, args)
+        status = args.run(rows, args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout closed early: devnull takes the flush at exit (see the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -19,7 +19,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .certify import Certificate, _invalid_certificate, certify
 from .corpus import CorpusEntry, ParsedRow, _unwritable
-from .errors import NormalizationError, NotReciprocalError, UnknownFormatError
+from .errors import KnotCertError, UnknownFormatError
 from .inertia import SignatureProfile
 from .laurent import SymmetricLaurentPoly, alexander_poly
 from .record import Record, replace
@@ -74,7 +74,7 @@ def _from_obj(tp, obj):
         for name in [name for name in tp._compared if name in obj]:
             try:
                 fields[name] = _from_obj(hints[name], obj[name])
-            except (TypeError, ValueError, NormalizationError, NotReciprocalError) as exc:
+            except (TypeError, ValueError, KnotCertError) as exc:
                 error = TypeError if isinstance(exc, TypeError) else ValueError
                 raise error(f"{tp.__name__} key {name!r}: {exc}") from exc
         # the one rule: the record, written back, is the object read

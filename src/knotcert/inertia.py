@@ -89,7 +89,14 @@ class UnitCirclePoint(Record):
 
 
 class JumpReport(Record):
-    """One-sided signature limits across a single unit root."""
+    """One-sided signature limits across a single unit root.
+
+    The constructor raises ValueError unless ``jump`` is right_value -
+    left_value and the flags say whether the root's multiplicity is odd and
+    whether it is 1, and InternalInconsistencyError if the jump breaks a
+    law: |jump| <= 2 * multiplicity, a nonzero jump at an odd multiplicity,
+    and |jump| = 2 at a simple root, where one eigenvalue crosses zero.
+    """
 
     root: UnitRootWitness
     left_value: int
@@ -97,6 +104,25 @@ class JumpReport(Record):
     jump: int
     odd_multiplicity: bool
     transversal_simple: bool
+
+    def __post_init__(self):
+        jump, multiplicity = self.jump, self.root.multiplicity
+        if jump != self.right_value - self.left_value:
+            raise ValueError("jump is not right_value - left_value")
+        if self.odd_multiplicity != (multiplicity % 2 == 1):
+            raise ValueError("odd_multiplicity is not whether the root's multiplicity is odd")
+        if self.transversal_simple != (multiplicity == 1):
+            raise ValueError("transversal_simple is not whether the root is simple")
+        if abs(jump) > 2 * multiplicity:
+            raise InternalInconsistencyError(
+                f"|jump| = {abs(jump)} exceeds twice the multiplicity {multiplicity}"
+            )
+        if self.odd_multiplicity and jump == 0:
+            raise InternalInconsistencyError(
+                "zero jump at an odd-multiplicity root contradicts the determinant sign flip"
+            )
+        if self.transversal_simple and abs(jump) != 2:
+            raise InternalInconsistencyError(f"simple root with |jump| = {abs(jump)} != 2")
 
 
 class SignatureProfile(Record):
@@ -352,44 +378,12 @@ def signature_profile(v: SeifertMatrix, witnesses: Sequence[UnitRootWitness]) ->
 
 
 def jump_reports(profile: SignatureProfile) -> list[JumpReport]:
-    """Per-root one-sided limits and jumps, ordered by increasing angle.
-
-    ``transversal_simple`` is set purely from multiplicity = 1: a simple root
-    forces the single vanishing eigenvalue to cross zero with nonzero slope
-    (det B changes sign to first order), so no numerical slope test is run.
-    Raises InternalInconsistencyError if a jump breaks one of three laws:
-    |jump| <= 2 * multiplicity, a nonzero jump at an odd multiplicity, and
-    |jump| = 2 at a simple root.
-    """
-    out = []
-    for i, w in enumerate(profile.jump_angles):
-        left = profile.plateau_values[i]
-        right = profile.plateau_values[i + 1]
-        jump = right - left
-        if abs(jump) > 2 * w.multiplicity:
-            raise InternalInconsistencyError(
-                f"|jump| = {abs(jump)} exceeds twice the multiplicity {w.multiplicity}"
-            )
-        odd = w.multiplicity % 2 == 1
-        if odd and jump == 0:
-            raise InternalInconsistencyError(
-                "zero jump at an odd-multiplicity root contradicts the determinant sign flip"
-            )
-        # a simple root has exactly one eigenvalue crossing zero transversely,
-        # so its signature jump must be exactly +-2; fail closed otherwise
-        if w.multiplicity == 1 and abs(jump) != 2:
-            raise InternalInconsistencyError(f"simple root with |jump| = {abs(jump)} != 2")
-        out.append(
-            JumpReport(
-                root=w,
-                left_value=left,
-                right_value=right,
-                jump=jump,
-                odd_multiplicity=odd,
-                transversal_simple=w.multiplicity == 1,
-            )
-        )
-    return out
+    """Per-root one-sided limits and jumps, ordered by increasing angle; each checks the laws."""
+    values = profile.plateau_values
+    return [
+        JumpReport(w, left, right, right - left, w.multiplicity % 2 == 1, w.multiplicity == 1)
+        for w, left, right in zip(profile.jump_angles, values, values[1:])
+    ]
 
 
 def det_sign_crosscheck(p_z: ZPoly, profile: SignatureProfile) -> bool:

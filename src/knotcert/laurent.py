@@ -319,10 +319,6 @@ class UnitRootWitness(Record):
     def angle_mid(self) -> Fraction:
         return (self.angle_bounds[0] + self.angle_bounds[1]) / 2
 
-    @property
-    def is_simple(self) -> bool:
-        return self.multiplicity == 1
-
 
 # ---------------------------------------------------------------------------
 # Alexander polynomial

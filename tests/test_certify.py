@@ -138,17 +138,26 @@ def _tamper(cert, **changes) -> str:
     return json.dumps([obj])
 
 
+def _trefoil_jumps(**changes) -> list:
+    """The trefoil certificate's one jump witness, as JSON, with changes."""
+    (jump,) = json.loads(certificates_to_json([certify(TREFOIL)]))[0]["jump_witnesses"]
+    return [{**jump, **changes}]
+
+
+CHECKS_RULE = "must have an error and no consistency_checks or jump_witnesses, or no error and passed"
+
+
 @pytest.mark.parametrize(
     "changes, match",
     [
-        ({"verdict": "MAYBE"}, "unknown verdict 'MAYBE'"),
-        ({"error": "forged"}, "must have an error and no consistency checks exactly when"),
-        ({"consistency_checks": None}, "must have an error and no consistency checks exactly when"),
-        ({"verdict": INVALID_INPUT}, "must have an error and no consistency checks exactly when"),
+        ({"verdict": "MAYBE"}, "verdict is not that derived"),
+        ({"error": "forged"}, CHECKS_RULE),
+        ({"consistency_checks": None}, CHECKS_RULE),
+        ({"verdict": INVALID_INPUT}, "verdict is not that derived"),
         # a CERTIFIED trefoil with no simple witness once read back without an error
-        ({"simple_root_witnesses": []}, "simple_root_witnesses are not"),
-        ({"odd_multiplicity_witnesses": []}, "odd_multiplicity_witnesses are not"),
-        ({"verdict": NOT_APPLICABLE}, "verdict NOT_APPLICABLE with 1 simple witnesses"),
+        ({"simple_root_witnesses": []}, "simple_root_witnesses is not that derived"),
+        ({"odd_multiplicity_witnesses": []}, "odd_multiplicity_witnesses is not that derived"),
+        ({"verdict": NOT_APPLICABLE}, "verdict is not that derived"),
         (
             {
                 "assumptions_echoed": {
@@ -157,9 +166,44 @@ def _tamper(cert, **changes) -> str:
                     "assume_m0_prime": False,
                 }
             },
-            "verdict CERTIFIED with 1 simple witnesses and assume_irreducible=False",
+            "verdict is not that derived",
         ),
-        ({"conclusion_text": "Certified."}, "conclusion_text is not that of verdict CERTIFIED"),
+        ({"conclusion_text": "Certified."}, "conclusion_text is not that derived"),
+        # certificates that certify never writes, each breaking one rule
+        ({"signature_at_minus_one": 8}, "signature_at_minus_one is not that derived"),
+        ({"jump_witnesses": _trefoil_jumps(jump=2)}, "jump is not right_value - left_value"),
+        (
+            {"jump_witnesses": _trefoil_jumps(transversal_simple=False)},
+            "transversal_simple is not whether the root is simple",
+        ),
+        (
+            {"jump_witnesses": _trefoil_jumps(odd_multiplicity=False)},
+            "odd_multiplicity is not whether the root's multiplicity is odd",
+        ),
+        (
+            {
+                "jump_witnesses": _trefoil_jumps(left_value=5, right_value=3),
+                "signature_at_minus_one": 3,
+            },
+            "jump_witnesses must start at 0 and each where the last one ended",
+        ),
+        (
+            {
+                "consistency_checks": {
+                    "det_sign_crosscheck": False,
+                    "first_plateau_zero": True,
+                    "parity": True,
+                }
+            },
+            CHECKS_RULE,
+        ),
+        (
+            {
+                "jump_witnesses": _trefoil_jumps(right_value=-4, jump=-4),
+                "signature_at_minus_one": -4,
+            },
+            "= 4 exceeds twice the multiplicity 1",
+        ),
     ],
 )
 def test_certificate_checks_itself_as_it_is_read(changes, match):
@@ -176,12 +220,12 @@ def test_certificate_witnesses_follow_z_order():
     assert len(simple) == 2 and simple == sorted(simple)
     obj = json.loads(certificates_to_json([cert]))[0]
     for key in ("simple_root_witnesses", "odd_multiplicity_witnesses"):
-        with pytest.raises(ValueError, match=f"{key} are not"):
+        with pytest.raises(ValueError, match=f"{key} is not that derived"):
             certificates_from_json(_tamper(cert, **{key: obj[key][::-1]}))
     # an INVALID_INPUT record passes its own checks, and replace checks a copy
     invalid = certify([[0, 0], [0, 0]])
     assert certificates_from_json(certificates_to_json([invalid])) == [invalid]
-    with pytest.raises(ValueError, match="unknown verdict"):
+    with pytest.raises(ValueError, match="verdict is not that derived"):
         replace(invalid, verdict="MAYBE")
 
 
@@ -199,6 +243,13 @@ def test_certify_rejects_refine_bits_outside_the_bound(bits):
 def test_certify_at_the_refine_bits_bound_writes_json():
     text = certificates_to_json([certify(TREFOIL, refine_bits=MAX_REFINE_BITS)])
     assert json.loads(text)[0]["verdict"] == CERTIFIED
+
+
+def test_certify_at_zero_refine_bits_reads_back():
+    # the low end of the range: root separation alone sets the intervals
+    cert = certify(TORUS_2_5, refine_bits=0)
+    assert cert.verdict == CERTIFIED and cert.simple_root_count == 2
+    assert certificates_from_json(certificates_to_json([cert])) == [cert]
 
 
 def test_certify_rows_empty():

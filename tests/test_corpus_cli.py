@@ -1268,17 +1268,45 @@ def test_huge_det_is_worded_without_its_digits(tmp_path, capsys):
     assert capsys.readouterr().out == f"ERROR row 0 (big): {message}\n"
 
 
-def test_cli_module_entry_point(corpus_file):
-    # the child finds the package where this process did, installed or not
+def _child_env() -> dict:
+    """The environment in which a child finds the package where this process did."""
     import knotcert
 
     src = str(Path(knotcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_module_entry_point(corpus_file):
     proc = subprocess.run(
         [sys.executable, "-m", "knotcert", "report", "--input", str(corpus_file)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "CERTIFIED" in proc.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "roots", "certify"])
+def test_cli_ends_quietly_when_stdout_is_closed(command, buffered, corpus_file):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails: exit 1 with nothing on stderr, not even the
+    # "Exception ignored" line of a failed flush at exit; a buffered stdout
+    # first writes when it is flushed, an unbuffered one at each print
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotcert", command, "--input", str(corpus_file)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

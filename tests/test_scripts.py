@@ -99,10 +99,12 @@ def test_mutation_gate_lists_its_sites_and_runs_nothing():
     assert any(line.endswith(" UnitRootWitness.__post_init__ raise") for line in lines)
     assert any(line.endswith(" _rational_sqrt_between raise") for line in lines)
     assert any(line.endswith(" _from_obj raise") for line in lines)
-    # comparison flips, also inside a return, only in laurent.py and inertia.py
+    # comparison flips, also inside a return, only in laurent.py, inertia.py
+    # and certify.py, where _derived holds no statement site but flips too
     flips = [line for line in lines if line.split(" ", 2)[2] in FLIP_KINDS]
-    assert {line.split(":")[0] for line in flips} == {"laurent.py", "inertia.py"}
+    assert {line.split(":")[0] for line in flips} == {"laurent.py", "inertia.py", "certify.py"}
     assert any(line.endswith(" _multiplicity_proved == to !=") for line in lines)
+    assert any(line.endswith(" _derived == to !=") for line in lines)
 
 
 FLIP_KINDS = ("< to <=", "<= to <", "== to !=", "!= to ==")
